@@ -1,17 +1,12 @@
-// The simulation-core throughput baseline (docs/PERF.md): events/sec
-// for the slab event queue across six variants — steady-state
-// event-churn, the cancel-heavy heartbeat/replan pattern, an
-// end-to-end wordcount sweep, the cluster-scale tenant stream
-// (10k nodes) that exercises the timer wheel and the incremental
-// scheduler, the placement-shuffle stream (10k nodes, small HDFS
-// blocks, sort-heavy) that exercises the indexed placement engine and
-// the incremental waterfill, and the job-scale shuffle drive (2k maps
-// x 512 reducers at 1k nodes) that exercises the partition-once
-// registry and the slab fetch engine. The churn/cancel variants
-// measure against the pre-slab shared_ptr reference queue, the
-// cluster-scale variants against the same world with the respective
-// hot-path toggles off, so each recorded speedup is measured, not
-// remembered.
+// The simulation-core throughput baseline (docs/PERF.md): absolute
+// events/sec across six variants — steady-state event-churn and the
+// cancel-heavy heartbeat/replan pattern on the slab event queue, an
+// end-to-end wordcount sweep, the cluster-scale tenant stream (10k
+// nodes) that exercises the timer wheel and the NodeTable-backed
+// scheduler, the placement-shuffle script (10k nodes) that exercises
+// the indexed placement engine and the incremental waterfill, and the
+// job-scale shuffle drive (2k maps x 512 reducers at 1k nodes) that
+// exercises the partition-once registry and the slab fetch engine.
 //
 // Wall-clock output can never be byte-reproducible, so this experiment
 // only runs when --filter names it (like `micro`). CI refreshes the
@@ -42,44 +37,30 @@ exp::ScenarioSpec make(const exp::SweepOptions& opt) {
     result.trial = trial;
     try {
       const std::string& variant = trial.str("variant");
-      exp::SimCoreResult modern, legacy;
+      exp::SimCoreResult measured;
       if (variant == "event-churn") {
-        const exp::SimCorePair pair = exp::sim_core_event_churn(churn_events, churn_window);
-        modern = pair.modern;
-        legacy = pair.legacy;
+        measured = exp::sim_core_event_churn(churn_events, churn_window);
       } else if (variant == "cancel-heavy") {
-        const exp::SimCorePair pair = exp::sim_core_cancel_heavy(cancel_steps);
-        modern = pair.modern;
-        legacy = pair.legacy;
+        measured = exp::sim_core_cancel_heavy(cancel_steps);
       } else if (variant == "cluster-scale") {
-        const exp::SimCorePair pair = exp::sim_core_cluster_scale(smoke);
-        modern = pair.modern;
-        legacy = pair.legacy;
+        measured = exp::sim_core_cluster_scale(smoke);
       } else if (variant == "placement-shuffle") {
-        const exp::SimCorePair pair = exp::sim_core_placement_shuffle(smoke);
-        modern = pair.modern;
-        legacy = pair.legacy;
+        measured = exp::sim_core_placement_shuffle(smoke);
       } else if (variant == "job-scale") {
-        const exp::SimCorePair pair = exp::sim_core_job_scale(smoke);
-        modern = pair.modern;
-        legacy = pair.legacy;
+        measured = exp::sim_core_job_scale(smoke);
       } else {
-        modern = exp::sim_core_wordcount_sweep(smoke);
+        measured = exp::sim_core_wordcount_sweep(smoke);
       }
       result.ok = true;
-      result.elapsed_seconds = modern.wall_seconds;
-      result.set_metric("events", static_cast<double>(modern.events));
-      result.set_metric("events_per_sec", modern.events_per_sec);
-      result.set_metric("cancelled", static_cast<double>(modern.cancelled));
-      result.set_metric("heap_peak", static_cast<double>(modern.heap_peak));
-      result.set_metric("slab_slots", static_cast<double>(modern.slab_slots));
-      result.set_metric("fetches", static_cast<double>(modern.fetches));
-      result.set_metric("coalesced_flows", static_cast<double>(modern.coalesced_flows));
-      result.set_metric("partition_calls", static_cast<double>(modern.partition_calls));
-      if (legacy.events > 0) {
-        result.set_metric("legacy_events_per_sec", legacy.events_per_sec);
-        result.set_metric("speedup_vs_legacy", modern.events_per_sec / legacy.events_per_sec);
-      }
+      result.elapsed_seconds = measured.wall_seconds;
+      result.set_metric("events", static_cast<double>(measured.events));
+      result.set_metric("events_per_sec", measured.events_per_sec);
+      result.set_metric("cancelled", static_cast<double>(measured.cancelled));
+      result.set_metric("heap_peak", static_cast<double>(measured.heap_peak));
+      result.set_metric("slab_slots", static_cast<double>(measured.slab_slots));
+      result.set_metric("fetches", static_cast<double>(measured.fetches));
+      result.set_metric("coalesced_flows", static_cast<double>(measured.coalesced_flows));
+      result.set_metric("partition_calls", static_cast<double>(measured.partition_calls));
     } catch (const std::exception& e) {
       result.ok = false;
       result.error = e.what();
@@ -88,22 +69,18 @@ exp::ScenarioSpec make(const exp::SweepOptions& opt) {
   };
 
   spec.render = [](const std::vector<exp::TrialResult>& results, std::ostream& os) {
-    Table table({"variant", "events", "events/sec", "legacy events/sec", "speedup",
-                 "heap peak", "slab slots"});
+    Table table({"variant", "events", "events/sec", "heap peak", "slab slots"});
     table.with_title("Simulation core throughput");
     for (const exp::TrialResult& r : results) {
       if (!r.ok) continue;
-      const double legacy = r.metric("legacy_events_per_sec");
-      const double speedup = r.metric("speedup_vs_legacy");
       table.add_row({r.trial.str("variant"), Table::num(r.metric("events"), 0),
                      Table::num(r.metric("events_per_sec"), 0),
-                     legacy == legacy ? Table::num(legacy, 0) : "-",
-                     speedup == speedup ? exp::strprintf("%.2fx", speedup) : "-",
                      Table::num(r.metric("heap_peak"), 0),
                      Table::num(r.metric("slab_slots"), 0)});
     }
     table.print(os);
-    os << "\n(cancel-heavy counts push+cancel+fire operations; the other\n"
+    os << "\n(cancel-heavy counts push+cancel+fire operations, placement-shuffle\n"
+          "replica draws + rate replans, job-scale shuffle fetches; the other\n"
           "variants count fired events. See docs/PERF.md.)\n";
   };
   return spec;

@@ -58,15 +58,12 @@ run_config() {
     --json /tmp/smoke_shootout.json > /dev/null
   # The sim-core throughput experiment, smoke-sized, in BOTH configs:
   # under sanitizers its cluster-scale variant is the only CI exercise
-  # of the timer wheel + incremental scheduler on a large (256-node)
-  # cluster with the legacy toggles also run for the differential, its
-  # placement-shuffle variant does the same for the indexed placement
-  # engine + incremental waterfill (both sides of both toggles,
-  # scripted replica-draw/shuffle-flow mix driven straight at
-  # BlockPlacementPolicy + Network), and its job-scale variant does the
-  # same for the fast-shuffle engine (partition-once registry + slab
-  # fetch records + coalesced flows vs. the per-fetch legacy path, a
-  # 256-map x 64-reducer job driven straight at ReduceRunner).
+  # of the timer wheel + NodeTable-backed scheduler on a large
+  # (256-node) cluster, its placement-shuffle variant drives the
+  # indexed placement policy + incremental waterfill through a scripted
+  # replica-draw/shuffle-flow mix, and its job-scale variant drives the
+  # partition-once registry, slab fetch records and coalesced flows
+  # through a 256-map x 64-reducer job straight at ReduceRunner.
   "$dir/bench/mrapid_bench" --filter sim_core --smoke \
     --json /tmp/smoke_simcore.json > /dev/null
   echo "=== [$name] fuzz smoke ==="
@@ -81,10 +78,9 @@ run_config release build-release -DCMAKE_BUILD_TYPE=Release -DMRAPID_WERROR=ON
 
 echo "=== [release] sim_core bench ==="
 # Simulation-core throughput baseline (docs/PERF.md): smoke-sized
-# event-churn / cancel-heavy / wordcount-sweep with the legacy-queue
-# differential, emitted as a build artifact. The committed
-# BENCH_simcore.json at the repo root is refreshed manually from a
-# full (non-smoke) run on a quiet machine.
+# absolute events/sec for every sim_core variant, emitted as a build
+# artifact. The committed BENCH_simcore.json at the repo root is
+# refreshed manually from a full (non-smoke) run on a quiet machine.
 build-release/bench/mrapid_bench --filter sim_core --smoke \
   --json build-release/BENCH_simcore.json > /dev/null
 
@@ -92,15 +88,13 @@ echo "=== [release] determinism gate ==="
 # Golden traces and fuzzer reproducers live in the source tree and are
 # only ever rewritten under GOLDEN_UPDATE=1 / --shrink, which CI never
 # sets. After the full suite + benches + fuzz have run, any byte of
-# drift under these trees means determinism regressed. The golden runs
-# execute with all five hot-path toggle families at their defaults
-# (heartbeat batching, incremental scheduling, indexed placement,
-# incremental rates, fast shuffle — all on); the HeartbeatEquivalence
-# and HotPathEquivalence suites (already part of ctest above, backed
-# by the PlacementEquivalence draw-level and NetworkRatesDiff 0-ULP
-# differentials plus the ShuffleEdgeCases/MapOutputRegistry shard
-# equivalences) hold the same traces byte-identical across every
-# toggle corner, so this gate covers the legacy paths too.
+# drift under these trees means determinism regressed. Each hot path
+# has one engine, held to a small independent oracle in ctest above:
+# sorted-scan references for the event queue and timer wheel,
+# from-scratch scans for the NodeTable, a candidate-vector scan for
+# placement, a textbook progressive-filling reference (0 ULP) plus a
+# brute-force max-min check for the waterfill, and per-fetch
+# partitioning for the shuffle registry.
 git diff --exit-code -- tests/golden tests/regressions
 
 run_config sanitize build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMRAPID_SANITIZE=ON

@@ -40,6 +40,28 @@ harness::FaultKind parse_fault_kind(const std::string& name) {
   throw std::invalid_argument("unknown fault kind '" + name + "'");
 }
 
+// Rejects geometry the generator never produces and the runtime does
+// not honour: the cluster and HDFS builders assert on zero racks or
+// workers, world_config() maps any node type other than a2 to a3, and
+// the reference executor clamps the reducer count to at least one
+// while the runtime does not.
+void validate_geometry(const FuzzScenario& s) {
+  auto reject = [](const std::string& key, const std::string& why) {
+    throw std::invalid_argument("bad scenario value for '" + key + "': " + why);
+  };
+  if (s.node_type != "a2" && s.node_type != "a3") {
+    reject("node_type", "'" + s.node_type + "' is not a2 or a3");
+  }
+  if (s.workers < min_workers(s)) {
+    reject("workers", std::to_string(s.workers) + " is below the " + s.node_type +
+                          " floor of " + std::to_string(min_workers(s)));
+  }
+  if (s.racks < 1 || s.racks > s.workers + 1) {
+    reject("racks", std::to_string(s.racks) + " is outside 1.." + std::to_string(s.workers + 1));
+  }
+  if (s.reducers < 1) reject("reducers", std::to_string(s.reducers) + " is below 1");
+}
+
 }  // namespace
 
 int min_workers(const FuzzScenario& scenario) {
@@ -167,20 +189,6 @@ FuzzScenario generate_scenario(std::uint64_t seed) {
     const char* policies[] = {"fcfs", "easy-backfill", "conservative-backfill"};
     s.policy = policies[policy_rng.next_int(0, 2)];
   }
-
-  // Hot-path implementation axis. The indexed placement and
-  // incremental rate engines are byte-identical to the legacy scans by
-  // contract, so flipping either must never change a trace — a quarter
-  // of the seeds run each legacy engine (independently drawn) to keep
-  // that contract under the full differential oracle, not just the
-  // dedicated equivalence suites. Fresh named stream so every field
-  // above keeps its historical per-seed value.
-  RngStream hotpath_rng(seed, "fuzz.hotpaths");
-  // Draw order is append-only: new toggles draw *after* the existing
-  // ones so legacy seeds keep their historical values.
-  s.indexed_placement = hotpath_rng.next_double() < 0.25 ? 0 : 1;
-  s.incremental_rates = hotpath_rng.next_double() < 0.25 ? 0 : 1;
-  s.fast_shuffle = hotpath_rng.next_double() < 0.25 ? 0 : 1;
   return s;
 }
 
@@ -264,9 +272,6 @@ harness::WorldConfig world_config(const FuzzScenario& scenario) {
   config.faults.events = scenario.faults;
   config.faults.enable = true;
   config.scheduler = scenario.policy;  // empty = mode default
-  config.hdfs.indexed_placement = scenario.indexed_placement != 0;
-  config.cluster.network.incremental_rates = scenario.incremental_rates != 0;
-  config.mr.fast_shuffle = scenario.fast_shuffle != 0;
   config.seed = scenario.seed;
   config.log_level = LogLevel::kError;
   return config;
@@ -294,15 +299,6 @@ std::string serialize_scenario(const FuzzScenario& scenario) {
   // reproducer files keep round-tripping byte-identically.
   if (!scenario.policy.empty()) {
     out << "policy " << scenario.policy << "\n";
-  }
-  if (scenario.indexed_placement != 1) {
-    out << "indexed_placement " << scenario.indexed_placement << "\n";
-  }
-  if (scenario.incremental_rates != 1) {
-    out << "incremental_rates " << scenario.incremental_rates << "\n";
-  }
-  if (scenario.fast_shuffle != 1) {
-    out << "fast_shuffle " << scenario.fast_shuffle << "\n";
   }
   if (is_stream(scenario)) {
     out << "stream_horizon_ms " << scenario.stream_horizon_ms << "\n";
@@ -371,12 +367,6 @@ FuzzScenario parse_scenario(const std::string& text) {
       if (ok && !core::SchedulerRegistry::instance().contains(s.policy)) {
         throw std::invalid_argument("unknown scheduler policy '" + s.policy + "'");
       }
-    } else if (key == "indexed_placement") {
-      ok = static_cast<bool>(fields >> s.indexed_placement);
-    } else if (key == "incremental_rates") {
-      ok = static_cast<bool>(fields >> s.incremental_rates);
-    } else if (key == "fast_shuffle") {
-      ok = static_cast<bool>(fields >> s.fast_shuffle);
     } else if (key == "stream_horizon_ms") {
       ok = static_cast<bool>(fields >> s.stream_horizon_ms);
     } else if (key == "tenant") {
@@ -406,6 +396,7 @@ FuzzScenario parse_scenario(const std::string& text) {
     if (!ok) throw std::invalid_argument("malformed scenario line '" + line + "'");
   }
   if (!ended) throw std::invalid_argument("scenario text missing 'end' terminator");
+  validate_geometry(s);
   return s;
 }
 

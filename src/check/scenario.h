@@ -62,17 +62,6 @@ struct FuzzScenario {
   // reproducer files and legacy seeds replay byte-identically.
   std::string policy;
 
-  // Hot-path toggles (HdfsConfig::indexed_placement,
-  // NetworkConfig::incremental_rates, MRConfig::fast_shuffle). Both
-  // sides of each toggle are byte-identical by contract; the fuzzer
-  // still flips them on a fraction of seeds so the legacy engines keep
-  // riding through the full differential oracle. 1 = the shipping
-  // default, so pre-toggle reproducer files parse (and serialize)
-  // unchanged.
-  int indexed_placement = 1;
-  int incremental_rates = 1;
-  int fast_shuffle = 1;
-
   // Explicit, already-expanded fault schedule (plan probabilities are
   // resolved at generation time so the schedule is shrinkable).
   std::vector<harness::FaultSpec> faults;
@@ -118,7 +107,11 @@ std::vector<wl::TenantSpec> make_tenant_specs(const FuzzScenario& scenario);
 // is byte-deterministic — the reproducer-file format under
 // tests/regressions/.
 std::string serialize_scenario(const FuzzScenario& scenario);
-// Throws std::invalid_argument on malformed input.
+// Throws std::invalid_argument on malformed input: an unknown key, an
+// unparsable value, a missing terminator, or geometry the generator
+// never produces (racks outside 1..workers+1, workers below
+// min_workers(), a node type other than a2/a3, fewer than one
+// reducer). The message names the offending key.
 FuzzScenario parse_scenario(const std::string& text);
 
 }  // namespace mrapid::check

@@ -35,18 +35,6 @@ std::vector<std::function<bool(FuzzScenario&)>> round_candidates(const FuzzScena
     return true;
   });
 
-  // 2b. Revert legacy hot-path engines to the shipping defaults: the
-  // engines are byte-identical by contract, so a failure that survives
-  // this step is genuinely about the scenario, and one that doesn't
-  // points straight at an engine divergence.
-  candidates.push_back([](FuzzScenario& s) {
-    if (s.indexed_placement == 1 && s.incremental_rates == 1 && s.fast_shuffle == 1) return false;
-    s.indexed_placement = 1;
-    s.incremental_rates = 1;
-    s.fast_shuffle = 1;
-    return true;
-  });
-
   // 3. Stream scenarios: drop tenants, shorten the horizon, simplify
   // arrival processes and entitlements. The single-job geometry
   // candidates below are skipped for streams (those fields are ignored

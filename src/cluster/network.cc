@@ -30,11 +30,9 @@ Network::Network(sim::Simulation& sim, const Topology& topology, std::vector<Rat
     link_capacity_bps_[rack_up_link(static_cast<RackId>(r))] = config_.rack_uplink.bytes_per_sec;
     link_capacity_bps_[rack_down_link(static_cast<RackId>(r))] = config_.rack_uplink.bytes_per_sec;
   }
-  if (config_.incremental_rates) {
-    link_flows_.resize(link_capacity_bps_.size());
-    residual_.assign(link_capacity_bps_.size(), 0.0);
-    unassigned_on_link_.assign(link_capacity_bps_.size(), 0);
-  }
+  link_flows_.resize(link_capacity_bps_.size());
+  residual_.assign(link_capacity_bps_.size(), 0.0);
+  unassigned_on_link_.assign(link_capacity_bps_.size(), 0);
 }
 
 void Network::set_path(Flow& flow, NodeId src, NodeId dst) const {
@@ -88,11 +86,9 @@ void Network::remove_flow(std::uint32_t slot) {
   if (flow.next != kNoSlot) slab_[flow.next].prev = flow.prev;
   if (head_ == slot) head_ = flow.next;
   if (tail_ == slot) tail_ = flow.prev;
-  if (config_.incremental_rates) {
-    for (std::uint8_t i = 0; i < flow.path_len; ++i) {
-      auto& on_link = link_flows_[flow.path[i]];
-      on_link.erase(std::find(on_link.begin(), on_link.end(), slot));
-    }
+  for (std::uint8_t i = 0; i < flow.path_len; ++i) {
+    auto& on_link = link_flows_[flow.path[i]];
+    on_link.erase(std::find(on_link.begin(), on_link.end(), slot));
   }
   flow.active = false;
   --active_count_;
@@ -162,9 +158,7 @@ void Network::start_announced(NodeId src, NodeId dst, std::vector<LegStart>& leg
   set_path(flow, src, dst);
   push_back_slot(slot);
   ++active_count_;
-  if (config_.incremental_rates) {
-    for (std::uint8_t i = 0; i < flow.path_len; ++i) link_flows_[flow.path[i]].push_back(slot);
-  }
+  for (std::uint8_t i = 0; i < flow.path_len; ++i) link_flows_[flow.path[i]].push_back(slot);
   assign_rates();
   replan();
 }
@@ -210,78 +204,22 @@ void Network::advance_progress() {
 }
 
 void Network::assign_rates() {
-  ++stats_.replans;
-  if (config_.incremental_rates) {
-    assign_rates_incremental();
-  } else {
-    assign_rates_full();
-  }
-}
-
-void Network::assign_rates_full() {
   // Progressive filling: repeatedly find the most constrained link,
   // freeze its unassigned flows at the link's fair share, subtract,
   // and continue with the remaining flows and residual capacities.
   //
+  // Only the links active flows cross participate, and a lazy
+  // min-heap over (share, link) finds each round's bottleneck. Stale
+  // heap entries are skipped by recomputing the link's current share
+  // and comparing exactly: a popped entry that matches the current
+  // share is, by the heap property, the minimum current share with the
+  // lowest link index.
+  //
   // Capacity is split between *legs*: a k-leg bundle counts k times on
   // every link it crosses and, when frozen, subtracts the share once
-  // per leg (legs outer, links inner) — the identical FP operations,
-  // in the identical order, that k separate single-leg flows inserted
-  // back-to-back would have performed.
-  const std::size_t links = link_capacity_bps_.size();
-  std::vector<double> residual = link_capacity_bps_;
-  std::vector<int> unassigned_on_link(links, 0);
-  const std::uint64_t round = ++round_;
-  for (std::uint32_t slot = head_; slot != kNoSlot; slot = slab_[slot].next) {
-    const Flow& f = slab_[slot];
-    for (std::uint8_t i = 0; i < f.path_len; ++i) {
-      unassigned_on_link[f.path[i]] += static_cast<int>(f.live_legs);
-    }
-  }
-  std::size_t remaining = active_legs_;
-  while (remaining > 0) {
-    double best_share = std::numeric_limits<double>::infinity();
-    LinkIndex bottleneck = links;
-    for (LinkIndex l = 0; l < links; ++l) {
-      ++stats_.links_scanned;
-      if (unassigned_on_link[l] == 0) continue;
-      const double share = residual[l] / unassigned_on_link[l];
-      if (share < best_share) {
-        best_share = share;
-        bottleneck = l;
-      }
-    }
-    assert(bottleneck != links);
-    for (std::uint32_t slot = head_; slot != kNoSlot; slot = slab_[slot].next) {
-      Flow& f = slab_[slot];
-      if (f.assigned_round == round) continue;
-      bool crosses = false;
-      for (std::uint8_t i = 0; i < f.path_len; ++i) crosses |= f.path[i] == bottleneck;
-      if (!crosses) continue;
-      f.rate_bps = best_share;
-      f.assigned_round = round;
-      remaining -= f.live_legs;
-      for (const Leg& leg : f.legs) {
-        if (!leg.live) continue;
-        for (std::uint8_t i = 0; i < f.path_len; ++i) {
-          const LinkIndex l = f.path[i];
-          residual[l] = std::max(0.0, residual[l] - best_share);
-          --unassigned_on_link[l];
-        }
-      }
-    }
-  }
-}
-
-void Network::assign_rates_incremental() {
-  // Same progressive filling, same floating-point operations in the
-  // same order — but only the links active flows actually cross
-  // participate, and a lazy min-heap over (share, link) replaces the
-  // full-fabric bottleneck sweep. Stale heap entries are skipped by
-  // recomputing the link's current share and comparing exactly: a
-  // popped entry that matches the current share is, by the heap
-  // property, the minimum current share with the lowest link index —
-  // precisely the link the full scan would have chosen.
+  // per leg (legs outer, links inner), the same FP operations in the
+  // same order as k single-leg flows inserted back-to-back.
+  ++stats_.replans;
   const std::uint64_t round = ++round_;
   touched_.clear();
   for (std::uint32_t slot = head_; slot != kNoSlot; slot = slab_[slot].next) {
@@ -317,9 +255,8 @@ void Network::assign_rates_incremental() {
       f.rate_bps = share;
       f.assigned_round = round;
       remaining -= f.live_legs;
-      // Legs outer, links inner — and one heap refresh per (leg, link)
-      // subtraction — so the FP/heap operation sequence is exactly what
-      // freezing k separate single-leg flows in a row performs.
+      // One heap refresh per (leg, link) subtraction, so a k-leg
+      // bundle freezes exactly as k single-leg flows in a row would.
       for (const Leg& leg : f.legs) {
         if (!leg.live) continue;
         for (std::uint8_t i = 0; i < f.path_len; ++i) {

@@ -16,33 +16,25 @@
 // completion-callback order, i.e. the traces) is the same stable
 // insertion order the old erase-preserving vector had.
 //
-// Two interchangeable waterfill engines sit behind assign_rates:
-//
-//   full (incremental_rates = false)  — the legacy scan: copy every
-//     link capacity, then per round scan ALL links for the bottleneck
-//     and ALL flows to freeze: O(rounds * (links + flows)) per replan,
-//     O(links) even for one flow on a 10k-node fabric.
-//   incremental (incremental_rates = true) — only the links touched by
-//     active flows participate: per-link flow lists pick the freeze
-//     set without a global scan, and a lazy min-heap over link shares
-//     replaces the per-round bottleneck sweep:
-//     O(touched links * log) per replan, independent of fabric size.
-//
-// Both engines perform the identical floating-point operations in the
-// identical order, so every assigned rate matches to 0 ULP — the
-// network_rates_diff_test holds them to exact equality on every replan
-// and checks the result against a brute-force max-min oracle.
+// The waterfill is incremental: only the links active flows cross
+// participate. Per-link flow lists pick the freeze set without a
+// global scan, and a lazy min-heap over link shares finds each round's
+// bottleneck (lowest share, ties to the lowest link index):
+// O(touched links * log) per replan, independent of fabric size.
+// network_rates_diff_test holds every replan's rates to 0 ULP against
+// a plain progressive-filling reference that does the same
+// floating-point operations in the same order, and checks them against
+// a brute-force max-min oracle.
 //
 // Every slab entry is a *bundle* of one or more legs sharing a
-// (src, dst) path: start_flow starts a 1-leg bundle (the classic flow,
-// unchanged by construction), and the fast-shuffle engine batches the
-// same-(src,dst) fetch legs of one dispatch into a single bundle via
-// announce_flow/start_announced. Each leg keeps its own id, byte
-// count, fluid progress and completion trace/callback, and the
-// waterfill counts *legs* when splitting link capacity, so a k-leg
-// bundle is observationally identical — rates, completion times and
-// traces — to the k separate flows the legacy path would have opened,
-// while costing one slab slot and one waterfill membership.
+// (src, dst) path: start_flow starts a 1-leg bundle (the classic
+// flow), and the shuffle batches the same-(src,dst) fetch legs of one
+// dispatch into a single bundle via announce_flow/start_announced.
+// Each leg keeps its own id, byte count, fluid progress and completion
+// trace/callback, and the waterfill counts *legs* when splitting link
+// capacity, so a k-leg bundle is observationally identical — rates,
+// completion times and traces — to k separate single-leg flows, while
+// costing one slab slot and one waterfill membership.
 
 #include <array>
 #include <cstdint>
@@ -63,13 +55,6 @@ struct NetworkConfig {
   // shared fabric parameters.
   Rate rack_uplink = Rate::gbit_per_sec(10);
   Rate loopback = Rate::gbit_per_sec(20);  // same-node "transfer"
-
-  // ---- cluster-scale hot path (docs/PERF.md, "Cluster scale") -------
-  // Incremental progressive filling (see the header comment). Rates
-  // are bit-identical either way; the toggle selects an
-  // implementation, never an answer, and keeps the legacy full scan
-  // testable as the bench "before" side.
-  bool incremental_rates = true;
 };
 
 class Network {
@@ -117,8 +102,7 @@ class Network {
   struct Stats {
     std::uint64_t flows_started = 0;
     std::uint64_t replans = 0;        // assign_rates invocations
-    std::uint64_t links_scanned = 0;  // bottleneck-search link visits (full)
-                                      // or heap pops (incremental)
+    std::uint64_t links_scanned = 0;  // bottleneck-heap pops, stale entries included
   };
   const Stats& stats() const { return stats_; }
 
@@ -156,9 +140,7 @@ class Network {
   void remove_flow(std::uint32_t slot);  // unlink + per-link lists + free (legs already dead)
   void kill_leg(Flow& flow, Leg& leg);   // id map + live counters
   void advance_progress();
-  void assign_rates();  // progressive filling (dispatches on the toggle)
-  void assign_rates_full();
-  void assign_rates_incremental();
+  void assign_rates();  // incremental progressive filling
   void replan();
   void on_completion_event();
 
@@ -190,10 +172,9 @@ class Network {
   std::size_t active_legs_ = 0;   // live legs across all bundles
   std::unordered_map<FlowId, std::uint32_t> slot_of_;  // every leg id -> slot
 
-  // Incremental-waterfill state (maintained only when the toggle is
-  // on). link_flows_[l] holds the active slots crossing l in insertion
-  // order — the same relative order the global list gives, so the
-  // freeze order (and thus every FP operation) matches the full scan.
+  // Incremental-waterfill state. link_flows_[l] holds the active slots
+  // crossing l in insertion order (the same relative order the global
+  // list gives), which fixes the freeze order within a round.
   std::vector<std::vector<std::uint32_t>> link_flows_;
   // Scratch, sized by link count but touched only on active links;
   // entries are reset via touched_ after every replan.

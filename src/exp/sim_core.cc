@@ -3,7 +3,6 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -28,88 +27,6 @@ namespace mrapid::exp {
 
 namespace {
 
-// A faithful reimplementation of the pre-PR-5 event queue: one
-// shared_ptr<Record> per event in a std::priority_queue, an unbounded
-// weak_ptr index for cancel(), a std::string label slot per record.
-// Kept as the measured baseline for the recorded speedup — the numbers
-// in BENCH_simcore.json stay reproducible after the original is gone.
-class LegacyEventQueue {
- public:
-  struct Id {
-    std::uint64_t value = 0;
-    constexpr bool valid() const { return value != 0; }
-  };
-  struct Fired {
-    sim::SimTime time;
-    sim::EventCallback callback;
-    std::string label;
-  };
-
-  Id push(sim::SimTime at, sim::EventCallback callback, std::string label = {}) {
-    auto record = std::make_shared<Record>();
-    record->time = at;
-    record->seq = next_seq_++;
-    record->callback = std::move(callback);
-    record->label = std::move(label);
-    heap_.push(record);
-    index_.push_back(record);
-    ++live_;
-    return Id{index_.size()};
-  }
-
-  bool cancel(Id id) {
-    if (!id.valid() || id.value > index_.size()) return false;
-    auto record = index_[id.value - 1].lock();
-    if (!record || record->cancelled) return false;
-    record->cancelled = true;
-    record->callback = nullptr;
-    --live_;
-    return true;
-  }
-
-  bool empty() const { return live_ == 0; }
-
-  sim::SimTime next_time() const {
-    drop_cancelled_head();
-    return heap_.empty() ? sim::SimTime::max() : heap_.top()->time;
-  }
-
-  Fired pop() {
-    drop_cancelled_head();
-    auto record = heap_.top();
-    heap_.pop();
-    record->cancelled = true;
-    --live_;
-    return Fired{record->time, std::move(record->callback), std::move(record->label)};
-  }
-
- private:
-  struct Record {
-    sim::SimTime time;
-    std::uint64_t seq;
-    sim::EventCallback callback;
-    std::string label;
-    bool cancelled = false;
-  };
-  struct Compare {
-    bool operator()(const std::shared_ptr<Record>& a, const std::shared_ptr<Record>& b) const {
-      if (a->time != b->time) return a->time > b->time;
-      return a->seq > b->seq;
-    }
-  };
-
-  void drop_cancelled_head() const {
-    while (!heap_.empty() && heap_.top()->cancelled) heap_.pop();
-  }
-
-  mutable std::priority_queue<std::shared_ptr<Record>, std::vector<std::shared_ptr<Record>>,
-                              Compare>
-      heap_;
-  std::vector<std::weak_ptr<Record>> index_;
-  std::size_t live_ = 0;
-  std::uint64_t next_seq_ = 0;
-};
-
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
@@ -121,19 +38,14 @@ double seconds_since(Clock::time_point start) {
 constexpr std::uint64_t spread(std::uint64_t i) { return (i * 7919) & 0xFFFF; }
 
 // Every production schedule_* site passes a label, and the hottest
-// ones (bandwidth :finish, pool :grant) concatenate a resource name
-// with a literal suffix — so the measured loops do the same. Each
-// queue gets the label in its native form: the legacy queue builds the
-// `name + ":finish"` std::string real call sites used to pay, the slab
-// queue stores a two-pointer EventLabel.
-const std::string kResourceName = "node03:disk-rd";  // concat exceeds SSO, as real names do
+// ones (bandwidth :finish, pool :grant) pair a resource name with a
+// literal suffix — so the measured loops do the same, as the two-pointer
+// EventLabel the queue stores.
+const std::string kResourceName = "node03:disk-rd";
 
-sim::EventLabel modern_label() { return sim::EventLabel(kResourceName, ":finish"); }
-std::string legacy_label() { return kResourceName + ":finish"; }
+sim::EventLabel make_label() { return sim::EventLabel(kResourceName, ":finish"); }
 
-template <typename Queue, typename LabelFn>
-SimCoreResult run_churn(Queue& queue, std::uint64_t events, std::size_t window,
-                        LabelFn make_label) {
+SimCoreResult run_churn(sim::EventQueue& queue, std::uint64_t events, std::size_t window) {
   SimCoreResult result;
   const auto start = Clock::now();
   std::uint64_t pushed = 0;
@@ -154,8 +66,7 @@ SimCoreResult run_churn(Queue& queue, std::uint64_t events, std::size_t window,
   return result;
 }
 
-template <typename Queue, typename LabelFn>
-SimCoreResult run_cancel_heavy(Queue& queue, std::uint64_t steps, LabelFn make_label) {
+SimCoreResult run_cancel_heavy(sim::EventQueue& queue, std::uint64_t steps) {
   SimCoreResult result;
   const auto start = Clock::now();
   std::uint64_t now_us = 0;
@@ -193,71 +104,53 @@ SimCoreResult run_cancel_heavy(Queue& queue, std::uint64_t steps, LabelFn make_l
 
 // Wall-clock noise (CPU frequency scaling, scheduler preemption,
 // noisy neighbours on shared hosts) easily swings a single run by
-// 10-20%, sometimes for seconds at a time. Each differential
-// measurement therefore interleaves the two queues (modern, legacy,
-// modern, legacy, …) so a slow phase hits both sides about equally,
-// and each side keeps its fastest repetition — the standard
-// noise-resistant cost estimate, applied identically to both.
+// 10-20%, sometimes for seconds at a time. The queue microbenchmarks
+// therefore keep the fastest of several repetitions, the standard
+// noise-resistant cost estimate.
 constexpr int kReps = 5;
 
-template <typename ModernFn, typename LegacyFn>
-SimCorePair best_of_interleaved(ModernFn run_modern, LegacyFn run_legacy) {
-  SimCorePair best{run_modern(), run_legacy()};
+template <typename RunFn>
+SimCoreResult best_of(RunFn run) {
+  SimCoreResult best = run();
   for (int i = 1; i < kReps; ++i) {
-    const SimCoreResult modern = run_modern();
-    if (modern.events_per_sec > best.modern.events_per_sec) best.modern = modern;
-    const SimCoreResult legacy = run_legacy();
-    if (legacy.events_per_sec > best.legacy.events_per_sec) best.legacy = legacy;
+    const SimCoreResult next = run();
+    if (next.events_per_sec > best.events_per_sec) best = next;
   }
   return best;
 }
 
 }  // namespace
 
-SimCorePair sim_core_event_churn(std::uint64_t events, std::size_t window) {
-  return best_of_interleaved(
-      [&] {
-        sim::EventQueue queue;
-        SimCoreResult result = run_churn(queue, events, window, modern_label);
-        result.cancelled = queue.stats().cancelled;
-        result.heap_peak = queue.stats().heap_peak;
-        result.slab_slots = queue.stats().slab_capacity;
-        return result;
-      },
-      [&] {
-        LegacyEventQueue queue;
-        return run_churn(queue, events, window, legacy_label);
-      });
+SimCoreResult sim_core_event_churn(std::uint64_t events, std::size_t window) {
+  return best_of([&] {
+    sim::EventQueue queue;
+    SimCoreResult result = run_churn(queue, events, window);
+    result.cancelled = queue.stats().cancelled;
+    result.heap_peak = queue.stats().heap_peak;
+    result.slab_slots = queue.stats().slab_capacity;
+    return result;
+  });
 }
 
-SimCorePair sim_core_cancel_heavy(std::uint64_t steps) {
-  return best_of_interleaved(
-      [&] {
-        sim::EventQueue queue;
-        SimCoreResult result = run_cancel_heavy(queue, steps, modern_label);
-        result.heap_peak = queue.stats().heap_peak;
-        result.slab_slots = queue.stats().slab_capacity;
-        return result;
-      },
-      [&] {
-        LegacyEventQueue queue;
-        return run_cancel_heavy(queue, steps, legacy_label);
-      });
+SimCoreResult sim_core_cancel_heavy(std::uint64_t steps) {
+  return best_of([&] {
+    sim::EventQueue queue;
+    SimCoreResult result = run_cancel_heavy(queue, steps);
+    result.heap_peak = queue.stats().heap_peak;
+    result.slab_slots = queue.stats().slab_capacity;
+    return result;
+  });
 }
 
 namespace {
 
-// One cluster-scale stream run: `incremental` flips BOTH YarnConfig
-// toggles (heartbeat batching + incremental scheduling) so the pair
-// measures the whole hot-path overhaul against the whole legacy path.
-SimCoreResult run_cluster_scale(bool incremental, std::size_t nodes, double horizon_s) {
+// One cluster-scale stream run.
+SimCoreResult run_cluster_scale(std::size_t nodes, double horizon_s) {
   harness::WorldConfig config;
   // Uniform A3 machines, ~40 per rack — a plausible datacenter shape
   // that keeps rack-locality code exercised without dominating.
   config.cluster = cluster::ClusterConfig::uniform(
       nodes, std::max<std::size_t>(std::size_t{1}, nodes / 40), cluster::azure_a3());
-  config.yarn.heartbeat_batching = incremental;
-  config.yarn.incremental_scheduling = incremental;
   config.deadline = sim::SimDuration::seconds(horizon_s + 3600.0);
   harness::World world(config, harness::RunMode::kHadoop);
 
@@ -285,8 +178,7 @@ SimCoreResult run_cluster_scale(bool incremental, std::size_t nodes, double hori
   SimCoreResult result;
   result.wall_seconds = seconds_since(start);
   // The dominant event population is NM heartbeats, which live in the
-  // timer wheel when batching is on — count dispatches, not just queue
-  // pops, so both sides report the same work.
+  // timer wheel — count dispatches, not just queue pops.
   result.events = world.simulation().processed_events();
   result.events_per_sec = static_cast<double>(result.events) / result.wall_seconds;
   result.cancelled = world.simulation().queue_stats().cancelled +
@@ -300,17 +192,13 @@ SimCoreResult run_cluster_scale(bool incremental, std::size_t nodes, double hori
   return result;
 }
 
-// One placement/shuffle run: `fast_paths` flips BOTH new toggles
-// (indexed placement + incremental waterfill). Like event-churn and
-// cancel-heavy, this drives the engine pair directly — a scripted mix
-// of replica draws, shuffle-pipeline flow starts, cancels and fluid
-// advances on a datacenter-shaped fabric — because in an end-to-end
-// job stream the draws and replans are a few percent of the event
-// population and the rate ratio measures Amdahl's bystanders, not the
-// engines (both sides run the identical script, so the events/sec
-// ratio is a pure wall-clock ratio of the two engine pairs).
-SimCoreResult run_placement_shuffle(bool fast_paths, std::size_t nodes,
-                                    std::size_t iterations) {
+// One placement/shuffle run. Like event-churn and cancel-heavy, this
+// drives the engine pair directly — a scripted mix of replica draws,
+// shuffle-pipeline flow starts, cancels and fluid advances on a
+// datacenter-shaped fabric — because in an end-to-end job stream the
+// draws and replans are a few percent of the event population and the
+// rate would measure Amdahl's bystanders, not the engines.
+SimCoreResult run_placement_shuffle(std::size_t nodes, std::size_t iterations) {
   const std::size_t racks = std::max<std::size_t>(std::size_t{1}, nodes / 40);
   std::vector<std::vector<cluster::NodeId>> rack_layout(racks);
   for (std::size_t n = 0; n < nodes; ++n) {
@@ -319,19 +207,16 @@ SimCoreResult run_placement_shuffle(bool fast_paths, std::size_t nodes,
   cluster::Topology topology(std::move(rack_layout));
 
   sim::Simulation sim(2024);
-  cluster::NetworkConfig net_config;
-  net_config.incremental_rates = fast_paths;
   cluster::Network network(sim, topology,
                            std::vector<Rate>(nodes, Rate::gbit_per_sec(1)),
-                           net_config);
+                           cluster::NetworkConfig{});
 
   std::vector<cluster::NodeId> datanodes(nodes);
   for (std::size_t n = 0; n < nodes; ++n) {
     datanodes[n] = static_cast<cluster::NodeId>(n);
   }
   hdfs::BlockPlacementPolicy policy(topology, std::move(datanodes),
-                                    RngStream(99, "exp.sim_core.placement"),
-                                    fast_paths);
+                                    RngStream(99, "exp.sim_core.placement"));
 
   // Scripted block writes: draw a replica set (external client half the
   // time, a datanode writer otherwise), push the block down a
@@ -385,10 +270,9 @@ SimCoreResult run_placement_shuffle(bool fast_paths, std::size_t nodes,
 // maps share a band, mirroring their shared source node below), and
 // every record is hashed into the band — so partition_map_output costs
 // what a real hash partitioner costs (one mix + bucket add per record,
-// plus the R-entry shard vector), which is exactly the per-fetch price
-// the legacy path pays M·R times and the registry pays M times. The
-// map index rides in on outcome.output_records (execute_map is never
-// called; the bench fabricates map results directly).
+// plus the R-entry shard vector), which the registry pays once per
+// map. The map index rides in on outcome.output_records (execute_map
+// is never called; the bench fabricates map results directly).
 class JobScaleLogic final : public mr::JobLogic {
  public:
   static constexpr int kBand = 16;
@@ -435,12 +319,11 @@ class JobScaleLogic final : public mr::JobLogic {
   std::shared_ptr<const void> payload_;  // stands in for the in-memory segment
 };
 
-// One job-scale run: `fast` flips MRConfig::fast_shuffle. Both sides
-// feed the identical fabricated map results to the identical reducer
-// set; reducers are driven one at a time with a fluid drain between
-// them so the live flow population stays bounded (the waterfill depth,
-// not the fetch engine, would otherwise dominate).
-SimCoreResult run_job_scale(bool fast, std::size_t nodes, int maps, int reducers) {
+// One job-scale run: the fabricated map results are fed to every
+// reducer; reducers are driven one at a time with a fluid drain
+// between them so the live flow population stays bounded (the
+// waterfill depth, not the fetch engine, would otherwise dominate).
+SimCoreResult run_job_scale(std::size_t nodes, int maps, int reducers) {
   sim::Simulation sim(2024);
   cluster::Cluster cluster(
       sim, cluster::ClusterConfig::uniform(
@@ -454,7 +337,6 @@ SimCoreResult run_job_scale(bool fast, std::size_t nodes, int maps, int reducers
   spec.num_reducers = reducers;
 
   mr::MRConfig config;
-  config.fast_shuffle = fast;
   mr::ShuffleStats stats;
   config.shuffle_stats = &stats;
   auto killed = std::make_shared<bool>(false);
@@ -480,14 +362,11 @@ SimCoreResult run_job_scale(bool fast, std::size_t nodes, int maps, int reducers
   runners.reserve(static_cast<std::size_t>(reducers));
 
   const auto start = Clock::now();
-  // The AM-side half of fast_shuffle: partition each output once, on
+  // The AM-side half of the shuffle: partition each output once, on
   // announcement — on the measured clock, exactly as an AM would.
-  std::unique_ptr<mr::MapOutputRegistry> registry;
-  if (fast) {
-    registry = std::make_unique<mr::MapOutputRegistry>(spec, maps, &stats);
-    for (const mr::MapTaskResult& result : results) {
-      registry->announce(result.profile.index, result.outcome);
-    }
+  mr::MapOutputRegistry registry(spec, maps, &stats);
+  for (const mr::MapTaskResult& result : results) {
+    registry.announce(result.profile.index, result.outcome);
   }
   std::int64_t now_us = 0;
   for (int r = 0; r < reducers; ++r) {
@@ -495,7 +374,7 @@ SimCoreResult run_job_scale(bool fast, std::size_t nodes, int maps, int reducers
         env, spec, r, "/bench/job-scale/part-" + std::to_string(r),
         static_cast<cluster::NodeId>(static_cast<std::size_t>(r) % nodes), maps,
         [&done](mr::TaskProfile, mr::ReduceOutcome) { ++done; });
-    runner->set_registry(registry.get());
+    runner->set_registry(&registry);
     runner->start();
     runner->on_map_outputs(results);
     runners.push_back(std::move(runner));
@@ -509,8 +388,7 @@ SimCoreResult run_job_scale(bool fast, std::size_t nodes, int maps, int reducers
 
   SimCoreResult result;
   result.wall_seconds = seconds_since(start);
-  // Both sides perform the identical M·R fetches, so events/sec is the
-  // shuffle-fetch rate and the speedup column a pure wall-clock ratio.
+  // Every reducer fetches every map: M·R fetches.
   result.events = stats.fetches;
   result.events_per_sec = static_cast<double>(result.events) / result.wall_seconds;
   result.cancelled = sim.queue_stats().cancelled;
@@ -524,40 +402,23 @@ SimCoreResult run_job_scale(bool fast, std::size_t nodes, int maps, int reducers
 
 }  // namespace
 
-SimCorePair sim_core_job_scale(bool smoke) {
+SimCoreResult sim_core_job_scale(bool smoke) {
   const std::size_t nodes = smoke ? 128 : 1'000;
   const int maps = smoke ? 256 : 2'000;
   const int reducers = smoke ? 64 : 512;
-  SimCorePair pair;
-  pair.modern = run_job_scale(/*fast=*/true, nodes, maps, reducers);
-  pair.legacy = run_job_scale(/*fast=*/false, nodes, maps, reducers);
-  return pair;
+  return run_job_scale(nodes, maps, reducers);
 }
 
-SimCorePair sim_core_placement_shuffle(bool smoke) {
+SimCoreResult sim_core_placement_shuffle(bool smoke) {
   const std::size_t nodes = smoke ? 256 : 10'000;
-  // Both sides run the identical script — same draws, same flows, same
-  // replans — so events are equal and the speedup column is a pure
-  // wall-clock ratio of the engine pairs.
   const std::size_t iterations = smoke ? 4'000 : 20'000;
-  SimCorePair pair;
-  pair.modern = run_placement_shuffle(/*fast_paths=*/true, nodes, iterations);
-  pair.legacy = run_placement_shuffle(/*fast_paths=*/false, nodes, iterations);
-  return pair;
+  return run_placement_shuffle(nodes, iterations);
 }
 
-SimCorePair sim_core_cluster_scale(bool smoke) {
+SimCoreResult sim_core_cluster_scale(bool smoke) {
   const std::size_t nodes = smoke ? 256 : 10'000;
-  // The legacy side pays O(nodes) per NM heartbeat — at 10k nodes a
-  // full horizon would take minutes of wall clock for the same rate
-  // estimate, so it runs a shorter (but still multi-million-event)
-  // slice. Both sides include boot, which is charged identically.
-  const double modern_horizon_s = smoke ? 30.0 : 120.0;
-  const double legacy_horizon_s = smoke ? 10.0 : 12.0;
-  SimCorePair pair;
-  pair.modern = run_cluster_scale(/*incremental=*/true, nodes, modern_horizon_s);
-  pair.legacy = run_cluster_scale(/*incremental=*/false, nodes, legacy_horizon_s);
-  return pair;
+  const double horizon_s = smoke ? 30.0 : 120.0;
+  return run_cluster_scale(nodes, horizon_s);
 }
 
 SimCoreResult sim_core_wordcount_sweep(bool smoke) {
@@ -579,8 +440,8 @@ SimCoreResult sim_core_wordcount_sweep(bool smoke) {
       throw TrialFailure("sim_core wordcount-sweep run failed");
     }
     const sim::EventQueue::Stats& stats = world.simulation().queue_stats();
-    // Heartbeats dispatch from the timer wheel when batching is on, so
-    // count all dispatches, not just queue pops.
+    // Heartbeats dispatch from the timer wheel, so count all
+    // dispatches, not just queue pops.
     result.events += world.simulation().processed_events();
     result.cancelled += stats.cancelled + world.simulation().wheel_stats().cancelled;
     result.heap_peak = std::max(result.heap_peak, stats.heap_peak);

@@ -40,7 +40,6 @@ World::World(const WorldConfig& config, RunMode mode) : config_(config), mode_(m
     saved_log_threshold_ = Logger::set_thread_threshold(config.log_level);
   }
   sim_ = std::make_unique<sim::Simulation>(config.seed);
-  sim_->set_timer_batching(config.yarn.heartbeat_batching);
   cluster_ = std::make_unique<cluster::Cluster>(*sim_, config.cluster);
   hdfs_ = std::make_unique<hdfs::Hdfs>(*cluster_, config.hdfs);
 

@@ -16,8 +16,7 @@ Hdfs::Hdfs(cluster::Cluster& cluster, HdfsConfig config)
   std::vector<NodeId> datanodes = cluster.workers();
   assert(!datanodes.empty());
   namenode_ = std::make_unique<NameNode>(BlockPlacementPolicy(
-      cluster.topology(), std::move(datanodes), RngStream(sim_.master_seed(), "hdfs.placement"),
-      config_.indexed_placement));
+      cluster.topology(), std::move(datanodes), RngStream(sim_.master_seed(), "hdfs.placement")));
 }
 
 void Hdfs::account_file(const FileInfo& file) {

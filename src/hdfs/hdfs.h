@@ -26,16 +26,6 @@ struct HdfsConfig {
                              // the paper's 10 MB files are single-block either way)
   int replication = 3;
   sim::SimDuration namenode_rpc = sim::SimDuration::millis(0.3);
-
-  // ---- cluster-scale hot path (docs/PERF.md, "Cluster scale") -------
-  // Serve replica draws from the placement policy's persistent
-  // per-rack/global position indexes (order-statistics selection,
-  // O(R log N) per draw) instead of materializing an O(N) candidate
-  // vector over every datanode. RNG-draw-preserving: replica vectors
-  // and the RNG stream position are identical either way — the toggle
-  // selects an implementation, never an answer, and exists so both
-  // paths stay testable against each other.
-  bool indexed_placement = true;
 };
 
 class Hdfs {

@@ -9,9 +9,8 @@ using cluster::NodeId;
 using cluster::RackId;
 
 BlockPlacementPolicy::BlockPlacementPolicy(const cluster::Topology& topology,
-                                           std::vector<NodeId> datanodes, RngStream rng,
-                                           bool indexed)
-    : topology_(topology), datanodes_(std::move(datanodes)), rng_(rng), indexed_(indexed) {
+                                           std::vector<NodeId> datanodes, RngStream rng)
+    : topology_(topology), datanodes_(std::move(datanodes)), rng_(rng) {
   assert(!datanodes_.empty());
   position_of_.assign(topology_.node_count(), -1);
   rack_positions_.assign(topology_.rack_count(), {});
@@ -36,25 +35,6 @@ bool BlockPlacementPolicy::is_datanode(NodeId n) const {
 NodeId BlockPlacementPolicy::pick(const std::vector<NodeId>& chosen, RackRule rule,
                                   RackId rack) {
   ++draws_;
-  return indexed_ ? pick_indexed(chosen, rule, rack) : pick_scan(chosen, rule, rack);
-}
-
-NodeId BlockPlacementPolicy::pick_scan(const std::vector<NodeId>& chosen, RackRule rule,
-                                       RackId rack) {
-  std::vector<NodeId> candidates;
-  for (NodeId n : datanodes_) {
-    if (std::find(chosen.begin(), chosen.end(), n) != chosen.end()) continue;
-    if (rule == RackRule::kDifferentFrom && topology_.rack_of(n) == rack) continue;
-    if (rule == RackRule::kSameAs && topology_.rack_of(n) != rack) continue;
-    candidates.push_back(n);
-  }
-  if (candidates.empty()) return cluster::kInvalidNode;
-  return candidates[static_cast<std::size_t>(
-      rng_.next_int(0, static_cast<std::int64_t>(candidates.size()) - 1))];
-}
-
-NodeId BlockPlacementPolicy::pick_indexed(const std::vector<NodeId>& chosen, RackRule rule,
-                                          RackId rack) {
   const std::vector<std::int32_t>* rack_pos =
       rule == RackRule::kAny ? nullptr : &rack_positions_[static_cast<std::size_t>(rack)];
 
@@ -70,9 +50,8 @@ NodeId BlockPlacementPolicy::pick_indexed(const std::vector<NodeId>& chosen, Rac
 
   // Rank (index within the rule's candidate sequence, which is
   // datanodes_ order) of every chosen node that also satisfies the
-  // rule — these are the "holes" the selection must skip, exactly the
-  // nodes the legacy scan's `chosen` filter dropped. `chosen` holds at
-  // most `replication` entries, so this stays O(R log N).
+  // rule: these are the "holes" the selection must skip. `chosen`
+  // holds at most `replication` entries, so this stays O(R log N).
   std::vector<std::int64_t> ranks;
   ranks.reserve(chosen.size());
   for (NodeId c : chosen) {
@@ -102,10 +81,9 @@ NodeId BlockPlacementPolicy::pick_indexed(const std::vector<NodeId>& chosen, Rac
   const std::int64_t k = total - static_cast<std::int64_t>(ranks.size());
   if (k <= 0) return cluster::kInvalidNode;
 
-  // The draw the legacy scan would have consumed: same bounds, same
-  // stream. `target` then converts "j-th candidate excluding chosen"
-  // into "target-th candidate of the full rule sequence" by walking
-  // the sorted holes.
+  // One uniform draw over the k candidates. `target` then converts
+  // "j-th candidate excluding chosen" into "target-th candidate of the
+  // full rule sequence" by walking the sorted holes.
   std::int64_t target = rng_.next_int(0, k - 1);
   for (std::int64_t r : ranks) {
     if (r <= target) ++target;

@@ -7,23 +7,16 @@
 //   further replicas -> random nodes not yet holding the block.
 // Single-rack clusters degrade gracefully (all replicas distinct nodes).
 //
-// Two interchangeable draw engines sit behind `choose`:
-//
-//   legacy (indexed = false)  — per draw, materialize the candidate
-//     vector over all datanodes and index it with one uniform draw:
-//     O(N) per replica.
-//   indexed (indexed = true)  — persistent per-rack and global
-//     position indexes answer the same draw as an order-statistics
-//     selection: count the candidates, consume the *identical*
-//     rng.next_int(0, k-1) draw, and map the result to the node the
-//     legacy scan would have returned (candidate order is datanodes_
-//     order): O(R log N) per replica for R already-chosen replicas.
-//
-// The two engines consume the same RNG draws with the same bounds and
-// return the same nodes — placement_equivalence_test holds them to
-// byte-identical replica vectors and an identical post-call stream
-// position over fuzzed topologies. The toggle selects an
-// implementation, never an answer (HdfsConfig::indexed_placement).
+// Each replica draw is uniform over the candidate sequence: the
+// datanodes, in datanodes_ order, that satisfy the rack rule and are
+// not already chosen. Persistent per-rack and global position indexes
+// answer it as an order-statistics selection: count the k candidates,
+// consume one rng.next_int(0, k-1) draw, and map it to the chosen
+// candidate in O(R log N) per replica for R already-chosen replicas,
+// without materializing the O(N) candidate vector.
+// placement_equivalence_test holds the replica vectors and the
+// post-call RNG stream position to those of a candidate-vector scan
+// over fuzzed topologies.
 
 #include <cstdint>
 #include <vector>
@@ -36,28 +29,26 @@ namespace mrapid::hdfs {
 class BlockPlacementPolicy {
  public:
   BlockPlacementPolicy(const cluster::Topology& topology,
-                       std::vector<cluster::NodeId> datanodes, RngStream rng,
-                       bool indexed = true);
+                       std::vector<cluster::NodeId> datanodes, RngStream rng);
 
   // Chooses min(replication, #datanodes) distinct nodes. `writer` may
   // be kInvalidNode (external client) or a non-DataNode (the master).
   std::vector<cluster::NodeId> choose(cluster::NodeId writer, int replication);
 
-  bool indexed() const { return indexed_; }
-
   // Replica draws attempted (pick calls, whether or not a candidate
   // existed) — the placement/shuffle bench's work counter.
   std::uint64_t draws() const { return draws_; }
 
-  // Test hook: consumes one RNG draw and returns it. Two policies that
-  // have consumed identical draw sequences return identical probes —
-  // the draw-equivalence suite's "same stream position" check.
+  // Test hook: consumes one RNG draw and returns it. Two copies of one
+  // seeded stream that have consumed identical draw sequences return
+  // identical probes — the draw-equivalence suite's "same stream
+  // position" check.
   std::uint64_t rng_probe() { return rng_.next_u64(); }
 
  private:
   // Rack constraint of one replica draw. The three rules below are the
   // only ones the HDFS default policy needs; making them first-class
-  // (rather than an opaque predicate) is what lets the indexed engine
+  // (rather than an opaque predicate) is what lets the position indexes
   // answer count/select queries without visiting every datanode.
   enum class RackRule { kAny, kDifferentFrom, kSameAs };
 
@@ -67,15 +58,10 @@ class BlockPlacementPolicy {
   // rule; kInvalidNode (without consuming a draw) if none qualifies.
   cluster::NodeId pick(const std::vector<cluster::NodeId>& chosen, RackRule rule,
                        cluster::RackId rack);
-  cluster::NodeId pick_scan(const std::vector<cluster::NodeId>& chosen, RackRule rule,
-                            cluster::RackId rack);
-  cluster::NodeId pick_indexed(const std::vector<cluster::NodeId>& chosen, RackRule rule,
-                               cluster::RackId rack);
 
   const cluster::Topology& topology_;
   std::vector<cluster::NodeId> datanodes_;
   RngStream rng_;
-  bool indexed_;
   std::uint64_t draws_ = 0;
 
   // node id -> position in datanodes_, or -1 for non-datanodes. Sized

@@ -40,10 +40,8 @@ void MRAppMaster::start(const yarn::Container& am_container) {
                  {"task", static_cast<std::int64_t>(i)}, {"attempt", 0}, {"ask", ask.id});
     asks_to_send_.push_back(std::move(ask));
   }
-  if (config_.fast_shuffle) {
-    registry_ = std::make_unique<MapOutputRegistry>(spec_, static_cast<int>(splits_.size()),
-                                                    config_.shuffle_stats);
-  }
+  registry_ = std::make_unique<MapOutputRegistry>(spec_, static_cast<int>(splits_.size()),
+                                                  config_.shuffle_stats);
   reduce_runners_.resize(static_cast<std::size_t>(spec_.num_reducers));
   reduce_attempt_.assign(static_cast<std::size_t>(spec_.num_reducers), 0);
   reduce_outcomes_.resize(static_cast<std::size_t>(spec_.num_reducers));
@@ -171,7 +169,7 @@ void MRAppMaster::on_map_done(const yarn::Container& container, MapTaskResult re
     if (result.profile.attempt < min_valid_attempt_[task] || map_done_[task]) return;
     map_done_[task] = 1;
     // Partition once, before any reducer sees the announcement.
-    if (registry_) registry_->announce(result.profile.index, result.outcome);
+    registry_->announce(result.profile.index, result.outcome);
 
     ++completed_maps_;
     profile_.maps[static_cast<std::size_t>(result.profile.index)] = result.profile;
@@ -289,7 +287,7 @@ void MRAppMaster::on_fetch_failed(int map_index) {
     all_map_results_.erase(it);
     break;
   }
-  if (registry_) registry_->invalidate(map_index);
+  registry_->invalidate(map_index);
   requeue_map(task);
 }
 

@@ -61,9 +61,8 @@ class MRAppMaster : public AmBase {
   // Every finished map result, retained so reducers that launch late
   // can still fetch every shard.
   std::vector<MapTaskResult> all_map_results_;
-  // Partition-once shard registry shared by all reducer attempts
-  // (fast_shuffle only; null on the legacy path). Declared before the
-  // runners that point into it.
+  // Partition-once shard registry shared by all reducer attempts.
+  // Declared before the runners that point into it.
   std::unique_ptr<MapOutputRegistry> registry_;
   std::vector<std::unique_ptr<ReduceRunner>> reduce_runners_;  // per partition
   // Superseded reducer attempts, kept alive (cancelled) until teardown

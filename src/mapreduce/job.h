@@ -163,16 +163,9 @@ struct MRConfig {
   FaultConfig faults;
   InjectedBug injected_bug = InjectedBug::kNone;
 
-  // ---- shuffle/job-scale hot path (docs/PERF.md, "Shuffle & job
-  // scale") ------------------------------------------------------------
-  // Partition-once map-output registry + slab fetch engine with
-  // same-(src,dst) leg coalescing. Traces are byte-identical either
-  // way; the toggle selects an implementation, never an answer, and
-  // keeps the legacy per-fetch path testable as the bench "before".
-  bool fast_shuffle = true;
-  // Optional counter sink (fetches / coalesced flows / partition
-  // calls), counted on both sides of the toggle. harness::World points
-  // this at a per-world instance when left null.
+  // Optional shuffle counter sink (fetches / coalesced flows /
+  // partition calls; mapreduce/shuffle.h). harness::World points this
+  // at a per-world instance when left null.
   ShuffleStats* shuffle_stats = nullptr;
 };
 

@@ -1,22 +1,18 @@
 #pragma once
 
-// Per-job map-output registry — the partition-once side of the
-// fast-shuffle engine (MRConfig::fast_shuffle, docs/PERF.md "Shuffle &
-// job scale").
+// Per-job map-output registry: the partition-once side of the shuffle
+// (docs/PERF.md, "Shuffle & job scale").
 //
-// The legacy shuffle path re-runs JobLogic::partition_map_output for
-// every (map, reduce) fetch: each call builds all R shards just to
-// keep one, so a job pays O(M·R) partition calls of O(R) work each —
-// O(M·R²) total. The registry partitions each map's outcome exactly
-// once, when the AM announces it, and hands every ReduceRunner an
-// indexed view of the resulting shard table: O(M·R) total partition
-// work, O(1) per fetch.
+// JobLogic::partition_map_output builds all R shards of one map
+// outcome in one call. The registry makes that call exactly once per
+// map, when the AM announces the outcome, and hands every ReduceRunner
+// an indexed view of the resulting shard table: M partition calls of
+// O(R) work per job, O(1) per fetch.
 //
-// Shards are byte-for-byte the same objects the per-fetch path would
-// have produced (partition_map_output is a pure function of the
-// outcome — the fuzzer's differential oracle already depends on that),
-// so the two paths are trace-identical; tests/shuffle_test.cc holds
-// them to exact equality under fuzzed outcomes.
+// partition_map_output is a pure function of the outcome, so each
+// shard equals the one a fresh per-fetch partition call would return;
+// tests/shuffle_test.cc holds the registry to that under fuzzed
+// outcomes.
 
 #include <cstdint>
 #include <vector>
@@ -26,8 +22,8 @@
 namespace mrapid::mr {
 
 // Lifetime counters for the job-scale bench and the allocation-
-// behaviour tracking in BENCH_simcore.json. Counted on both sides of
-// the fast_shuffle toggle (counting never affects traces).
+// behaviour tracking in BENCH_simcore.json (counting never affects
+// traces).
 struct ShuffleStats {
   std::uint64_t fetches = 0;          // reduce-side fetches started
   std::uint64_t coalesced_flows = 0;  // extra net legs folded into an aggregate flow

@@ -227,61 +227,12 @@ void ReduceRunner::fetch(const MapTaskResult& result) {
   }
   fetch_state_[static_cast<std::size_t>(index)] = FetchState::kInflight;
   if (ShuffleStats* stats = env_.config.shuffle_stats) ++stats->fetches;
-  if (env_.config.fast_shuffle) {
-    fetch_fast(result, src, index);
-  } else {
-    fetch_legacy(result, src, index);
-  }
-}
 
-// The original per-fetch path, kept verbatim behind the toggle as the
-// bench "before" side: re-partitions the full map outcome for every
-// fetch (O(M·R²) per job) and joins the two transfer legs on a pair of
-// heap-allocated shared handles.
-void ReduceRunner::fetch_legacy(const MapTaskResult& result, const NodeId src, const int index) {
-  // This runner only moves its own partition's shard of the output.
-  if (ShuffleStats* stats = env_.config.shuffle_stats) ++stats->partition_calls;
-  MapOutcome shard = std::move(
-      spec_.logic->partition_map_output(result.outcome, std::max(1, spec_.num_reducers))
-          .at(static_cast<std::size_t>(partition_)));
-  const Bytes bytes = shard.output_bytes;
-  outcomes_[static_cast<std::size_t>(index)] = std::move(shard);
-  MRAPID_TRACE_ATTEMPT(env_.sim, sim::TraceCategory::kShuffle, "shuffle.fetch", attempt_,
-                       {"app", env_.app}, {"job", env_.job}, {"partition", partition_},
-                       {"map", index}, {"bytes", bytes}, {"src", src}, {"dst", node_});
-
-  auto complete = [this, bytes, index] {
-    if (halted()) return;
-    finish_fetch(index, bytes);
-  };
-
-  if (bytes == 0 || (src == node_ && result.profile.output_in_memory)) {
-    // Nothing to move: in-memory output already sits in the consuming
-    // JVM (the U+ single-container case).
-    env_.sim.schedule_now(std::move(complete), "shuffle:local");
-    return;
-  }
-
-  // Remote/on-disk fetch: source disk read (when spilled) and the
-  // network flow stream concurrently; the fetch lands when both legs
-  // finish. Same-node fetches use the loopback link.
-  auto pending = std::make_shared<int>(result.profile.output_in_memory ? 1 : 2);
-  auto shared_complete = std::make_shared<std::function<void()>>(std::move(complete));
-  auto leg_done = [pending, shared_complete](sim::SimDuration) {
-    if (--*pending == 0) (*shared_complete)();
-  };
-  if (!result.profile.output_in_memory) {
-    env_.cluster.node(src).disk_read().start(bytes, leg_done);
-  }
-  env_.cluster.network().start_flow(src, node_, bytes, leg_done);
-}
-
-// The fast_shuffle path: O(1) shard lookup in the partition-once
-// registry, a slab fetch record instead of two shared_ptr allocations
-// (the 16-byte {this, slot, generation} leg captures fit std::function's
-// small-buffer storage), and network legs batched per consecutive
-// source so one dispatch's same-(src,dst) fetches share one flow.
-void ReduceRunner::fetch_fast(const MapTaskResult& result, const NodeId src, const int index) {
+  // O(1) shard lookup in the partition-once registry, a slab fetch
+  // record joining the disk and network legs (the 16-byte
+  // {this, slot, generation} leg captures fit std::function's
+  // small-buffer storage), and network legs batched per consecutive
+  // source so one dispatch's same-(src,dst) fetches share one flow.
   if (registry_ == nullptr) {
     own_registry_ =
         std::make_unique<MapOutputRegistry>(spec_, total_maps_, env_.config.shuffle_stats);
@@ -295,7 +246,8 @@ void ReduceRunner::fetch_fast(const MapTaskResult& result, const NodeId src, con
                        {"map", index}, {"bytes", bytes}, {"src", src}, {"dst", node_});
 
   if (bytes == 0 || (src == node_ && result.profile.output_in_memory)) {
-    // Nothing to move (see fetch_legacy). Local fetches never touch
+    // Nothing to move: in-memory output already sits in the consuming
+    // JVM (the U+ single-container case). Local fetches never touch
     // the net-leg batcher, so they don't break a same-source run.
     env_.sim.schedule_now([this, bytes, index] {
       if (halted()) return;
@@ -304,6 +256,9 @@ void ReduceRunner::fetch_fast(const MapTaskResult& result, const NodeId src, con
     return;
   }
 
+  // Remote/on-disk fetch: source disk read (when spilled) and the
+  // network flow stream concurrently; the fetch lands when both legs
+  // finish. Same-node fetches use the loopback link.
   const std::uint32_t slot = alloc_fetch_record();
   FetchRecord& rec = fetch_records_[slot];
   rec.pending = result.profile.output_in_memory ? 1 : 2;

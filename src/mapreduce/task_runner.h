@@ -89,12 +89,13 @@ class ReduceRunner {
 
   // Batch form: fetch every result in one dispatch. This is how the
   // AMs replay their accumulated map results into a freshly started
-  // runner — under fast_shuffle, consecutive same-source network legs
-  // of the batch coalesce into one aggregated flow.
+  // runner; consecutive same-source network legs of the batch coalesce
+  // into one aggregated flow.
   void on_map_outputs(std::span<const MapTaskResult> results);
 
-  // Share the AM's partition-once shard registry (fast_shuffle). When
-  // unset, a fast-shuffle runner lazily builds its own private one.
+  // Share the AM's partition-once shard registry. When unset, the
+  // runner lazily builds its own private one (direct drives without
+  // an AM).
   void set_registry(MapOutputRegistry* registry) { registry_ = registry; }
 
   void set_fetch_failed(FetchFailedCallback cb) { fetch_failed_ = std::move(cb); }
@@ -115,8 +116,6 @@ class ReduceRunner {
     return cancelled_ || env_.is_killed() || env_.cluster.node(node_).is_down();
   }
   void fetch(const MapTaskResult& result);
-  void fetch_fast(const MapTaskResult& result, cluster::NodeId src, int index);
-  void fetch_legacy(const MapTaskResult& result, cluster::NodeId src, int index);
   void flush_net_legs();
   void fetch_leg_done(std::uint32_t slot, std::uint32_t generation);
   void finish_fetch(int index, Bytes bytes);
@@ -153,7 +152,7 @@ class ReduceRunner {
   FetchFailedCallback fetch_failed_;
   TaskProfile profile_;
 
-  // ---- fast_shuffle state (unused on the legacy path) ---------------
+  // ---- shuffle engine state ------------------------------------------
   MapOutputRegistry* registry_ = nullptr;
   std::unique_ptr<MapOutputRegistry> own_registry_;  // direct drives without an AM
   std::vector<FetchRecord> fetch_records_;

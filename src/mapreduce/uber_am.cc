@@ -26,10 +26,8 @@ void UberAppMaster::start(const yarn::Container& am_container) {
   profile_.maps.resize(splits_.size());
   attempts_.assign(splits_.size(), 0);
   for (const auto& split : splits_) profile_.total_input += split.length;
-  if (config_.fast_shuffle) {
-    registry_ = std::make_unique<MapOutputRegistry>(spec_, static_cast<int>(splits_.size()),
-                                                    config_.shuffle_stats);
-  }
+  registry_ = std::make_unique<MapOutputRegistry>(spec_, static_cast<int>(splits_.size()),
+                                                  config_.shuffle_stats);
 
   if (splits_.empty()) {
     start_reduces();
@@ -127,7 +125,7 @@ void UberAppMaster::on_map_done(MapTaskResult result) {
     case cluster::Locality::kAny: ++profile_.off_rack_maps; break;
   }
   // Partition once, before the reducers replay the result list.
-  if (registry_) registry_->announce(result.profile.index, result.outcome);
+  registry_->announce(result.profile.index, result.outcome);
   map_results_.push_back(std::move(result));
 
   if (completed_maps_ == total_maps()) {

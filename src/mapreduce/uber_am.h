@@ -42,8 +42,8 @@ class UberAppMaster : public AmBase {
   Bytes cache_used_ = 0;
   int spilled_maps_ = 0;
   std::vector<MapTaskResult> map_results_;
-  // Partition-once shard registry (fast_shuffle only; null on the
-  // legacy path). Declared before the runners that point into it.
+  // Partition-once shard registry. Declared before the runners that
+  // point into it.
   std::unique_ptr<MapOutputRegistry> registry_;
   std::vector<std::unique_ptr<ReduceRunner>> reduce_runners_;
   std::vector<ReduceOutcome> reduce_outcomes_;

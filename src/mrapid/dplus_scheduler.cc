@@ -23,18 +23,8 @@ void DPlusAlgorithm::schedule(PolicyScheduler& scheduler, const SchedulingEvent&
 }
 
 DPlusAlgorithm::Dominant DPlusAlgorithm::dominant_resource(PolicyScheduler& scheduler) const {
-  yarn::NodeTable::Aggregates agg;
-  if (yarn::NodeTable* table = scheduler.context().node_table()) {
-    agg = table->aggregates();  // O(1) when incremental
-  } else {
-    for (const auto& node : scheduler.context().nodes()) {
-      if (!node.schedulable()) continue;  // degraded capacity excluded
-      agg.total_vcores += node.capacity.vcores;
-      agg.used_vcores += node.used.vcores;
-      agg.total_mem += node.capacity.memory_mb;
-      agg.used_mem += node.used.memory_mb;
-    }
-  }
+  // Schedulable totals only: degraded capacity is excluded. O(1).
+  const yarn::NodeTable::Aggregates agg = scheduler.context().node_table()->aggregates();
   const double vcore_ratio =
       agg.total_vcores > 0 ? static_cast<double>(agg.used_vcores) / agg.total_vcores : 0.0;
   const double mem_ratio =
@@ -43,8 +33,7 @@ DPlusAlgorithm::Dominant DPlusAlgorithm::dominant_resource(PolicyScheduler& sche
 }
 
 std::vector<NodeState*> DPlusAlgorithm::sorted_nodes(PolicyScheduler& scheduler) const {
-  // schedulable_nodes() is already ascending-id schedulable — the same
-  // set and order the historical full scan produced.
+  // schedulable_nodes() is already ascending-id schedulable.
   std::vector<NodeState*> nodes = scheduler.schedulable_nodes();
   if (!options_.balanced_spread) {
     // Packing behaviour: fixed node order, first fit.

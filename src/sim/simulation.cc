@@ -31,12 +31,10 @@ EventId Simulation::schedule_now(EventCallback callback, EventLabel label) {
 
 EventId Simulation::schedule_timer(SimDuration delay, EventCallback callback, EventLabel label) {
   assert(delay >= SimDuration::zero());
-  const SimTime at = now_ + delay;
-  if (!timer_batching_) return queue_.push(at, std::move(callback), label);
-  // The wheel entry takes the sequence number this push would have
-  // taken, so the merged dispatch order matches the non-batched run
-  // byte for byte.
-  return wheel_.schedule(at, queue_.take_seq(), std::move(callback), label);
+  // The wheel entry takes the next sequence number of the shared
+  // (time, seq) order, so run_until's merge dispatches it exactly
+  // where a queue push at this instant would have landed.
+  return wheel_.schedule(now_ + delay, queue_.take_seq(), std::move(callback), label);
 }
 
 std::uint64_t Simulation::run() { return run_until(SimTime::max()); }
@@ -47,7 +45,7 @@ std::uint64_t Simulation::run_until(SimTime deadline) {
   while (!stop_requested_) {
     EventQueue::Fired event;
     if (wheel_.empty()) {
-      // Hot path: no timers outstanding, identical to the pre-wheel loop.
+      // Hot path: no timers outstanding, only the queue can fire.
       if (queue_.empty() || queue_.next_time() > deadline) break;
       event = queue_.pop();
     } else {

@@ -3,8 +3,13 @@
 // The discrete-event simulation driver.
 //
 // Single-threaded by design: determinism comes from the stable event
-// queue plus named RNG streams (common/rng.h). Components hold a
-// Simulation& and schedule callbacks; there is no global state.
+// order plus named RNG streams (common/rng.h). Pending events live in
+// two stores: the EventQueue heap for one-off callbacks and the
+// TimerWheel for periodic timers (schedule_timer). Both draw sequence
+// numbers from one counter and run_until merges their heads on
+// (time, seq), so the pair dispatches as a single ordered queue would.
+// Components hold a Simulation& and schedule callbacks; there is no
+// global state.
 
 #include <cstdint>
 #include <functional>
@@ -42,22 +47,17 @@ class Simulation {
   EventId schedule_now(EventCallback callback, EventLabel label = {});
 
   // For periodic, batch-friendly events (heartbeats, liveness polls):
-  // lands in the hierarchical timer wheel when batching is on, in the
-  // ordinary queue otherwise. Dispatch order is byte-identical either
-  // way — the wheel entry is stamped with the sequence number the
-  // queue push would have consumed, and run_until merges on (time,
-  // seq) — so the toggle is purely a performance/testability knob.
+  // lands in the hierarchical timer wheel (sim/timer_wheel.h). The
+  // wheel entry is stamped with the next sequence number of the shared
+  // (time, seq) order, and run_until merges the wheel head with the
+  // queue head on that key, so timers and plain events dispatch
+  // exactly as one combined heap would order them.
   EventId schedule_timer(SimDuration delay, EventCallback callback, EventLabel label = {});
 
   bool cancel(EventId id) {
     if (TimerWheel::is_wheel_id(id)) return wheel_.cancel(id);
     return queue_.cancel(id);
   }
-
-  // Routing for schedule_timer; flip before the first timer is
-  // scheduled (harness::World sets it from YarnConfig::heartbeat_batching).
-  void set_timer_batching(bool on) { timer_batching_ = on; }
-  bool timer_batching() const { return timer_batching_; }
 
   // Runs until the event queue drains or stop() is called. Returns the
   // number of events processed by this call.
@@ -106,7 +106,6 @@ class Simulation {
 
   EventQueue queue_;
   TimerWheel wheel_;
-  bool timer_batching_ = true;
   SimTime now_ = SimTime::zero();
   bool stop_requested_ = false;
   std::uint64_t processed_ = 0;

@@ -16,11 +16,12 @@
 // orders same-instant events by a global sequence number, and golden
 // traces pin that order byte for byte. The wheel therefore does NOT
 // own a sequence counter — Simulation::schedule_timer draws the seq
-// from the EventQueue's counter at exactly the call site where the
-// non-batched path would have pushed, and run_until() merges the queue
-// head and the wheel head on the identical (time, seq) key. Batching
-// on/off is byte-identical by construction; the equivalence tests in
-// tests/heartbeat_equivalence_test.cc hold this to the letter.
+// from the EventQueue's counter at the call site, and run_until()
+// merges the queue head and the wheel head on the identical (time, seq)
+// key, so timers and plain events dispatch as one queue would order
+// them. tests/timer_wheel_diff_test.cc (against a sorted-scan
+// reference) and sim_test's merged-dispatch case hold this to the
+// letter.
 //
 // Structure: 4 levels x 256 slots, level-0 granularity 2^10 us
 // (~1 ms). Level l spans 2^(10 + 8*(l+1)) us: L0 ~0.27 s, L1 ~69 s,

@@ -37,20 +37,6 @@ struct YarnConfig {
   // Memory the NM keeps back for daemons.
   std::int64_t nm_memory_reserve_mb = 1024;
 
-  // ---- cluster-scale hot paths (docs/PERF.md, "cluster scale") ------
-  // Route NM heartbeats and the liveness poll through the hierarchical
-  // timer wheel (sim/timer_wheel.h) so a 10k-node cluster coalesces
-  // its ticks into per-slot batches instead of 10k independent heap
-  // entries. Dispatch order — and therefore every trace — is
-  // byte-identical with the toggle off; it exists so both paths stay
-  // testable against each other.
-  bool heartbeat_batching = true;
-  // Serve schedulers from the RM's incremental NodeTable (dense id
-  // map, cached schedulable list, O(log n) first-fit index) instead of
-  // rescanning node_states_ per event. Also byte-identical off; the
-  // legacy path is the "before" side of the cluster-scale bench.
-  bool incremental_scheduling = true;
-
   // ---- liveness / fault recovery (off unless a FaultPlan is active) --
   // When true the RM tracks per-NM heartbeat recency and expires nodes
   // whose last beat is older than `nm_expiry`

@@ -61,34 +61,16 @@ void NodeTable::rebuild_membership() {
 }
 
 const std::vector<NodeState*>& NodeTable::schedulable() {
-  if (!incremental_ || membership_dirty_) rebuild_membership();
+  if (membership_dirty_) rebuild_membership();
   return schedulable_;
 }
 
 int NodeTable::schedulable_capacity_vcores() {
-  if (!incremental_) {
-    int vcores = 0;
-    for (const auto& node : states_) {
-      if (node.schedulable()) vcores += node.capacity.vcores;
-    }
-    return vcores;
-  }
   if (membership_dirty_) rebuild_membership();
   return static_cast<int>(aggregates_.total_vcores);
 }
 
 NodeTable::Aggregates NodeTable::aggregates() {
-  if (!incremental_) {
-    Aggregates out;
-    for (const auto& node : states_) {
-      if (!node.schedulable()) continue;
-      out.total_vcores += node.capacity.vcores;
-      out.used_vcores += node.used.vcores;
-      out.total_mem += node.capacity.memory_mb;
-      out.used_mem += node.used.memory_mb;
-    }
-    return out;
-  }
   if (membership_dirty_) rebuild_membership();
   return aggregates_;
 }
@@ -122,16 +104,9 @@ void NodeTable::tree_update(std::size_t index) {
   }
 }
 
-NodeState* NodeTable::first_fit_scan(Resource need, cluster::NodeId skip) {
-  for (NodeState* node : schedulable()) {
-    ++stats_.first_fit_nodes_visited;
-    if (node->id == skip) continue;
-    if (need.fits_in(node->available())) return node;
-  }
-  return nullptr;
-}
-
-NodeState* NodeTable::first_fit_tree(Resource need, cluster::NodeId skip) {
+NodeState* NodeTable::first_fit(Resource need, cluster::NodeId skip) {
+  ++stats_.first_fit_calls;
+  assert(need.vcores >= 0 && need.memory_mb >= 0);
   if (tree_size_ == 0) tree_build();
   // Leftmost-fit descent: a subtree can only contain a fit if its max
   // on BOTH dimensions covers the need (necessary, not sufficient —
@@ -161,18 +136,10 @@ NodeState* NodeTable::first_fit_tree(Resource need, cluster::NodeId skip) {
   return result;
 }
 
-NodeState* NodeTable::first_fit(Resource need, cluster::NodeId skip) {
-  ++stats_.first_fit_calls;
-  assert(need.vcores >= 0 && need.memory_mb >= 0);
-  if (!incremental_) return first_fit_scan(need, skip);
-  return first_fit_tree(need, skip);
-}
-
 // ---- mutation funnel ----------------------------------------------
 
 void NodeTable::charge(NodeState& node, Resource amount) {
   node.used = node.used + amount;
-  if (!incremental_) return;
   if (!membership_dirty_ && node.schedulable()) {
     aggregates_.used_vcores += amount.vcores;
     aggregates_.used_mem += amount.memory_mb;
@@ -183,7 +150,6 @@ void NodeTable::charge(NodeState& node, Resource amount) {
 void NodeTable::uncharge(NodeState& node, Resource amount) {
   node.used = node.used - amount;
   assert(node.used.vcores >= 0 && node.used.memory_mb >= 0);
-  if (!incremental_) return;
   if (!membership_dirty_ && node.schedulable()) {
     aggregates_.used_vcores -= amount.vcores;
     aggregates_.used_mem -= amount.memory_mb;
@@ -212,14 +178,14 @@ void NodeTable::set_alive(NodeState& node, bool alive) {
   if (node.alive == alive) return;
   node.alive = alive;
   membership_dirty_ = true;
-  if (incremental_) tree_update(static_cast<std::size_t>(&node - states_.data()));
+  tree_update(static_cast<std::size_t>(&node - states_.data()));
 }
 
 void NodeTable::set_blacklisted(NodeState& node, bool blacklisted) {
   if (node.blacklisted == blacklisted) return;
   node.blacklisted = blacklisted;
   membership_dirty_ = true;
-  if (incremental_) tree_update(static_cast<std::size_t>(&node - states_.data()));
+  tree_update(static_cast<std::size_t>(&node - states_.data()));
 }
 
 // ---- audit --------------------------------------------------------
@@ -266,7 +232,7 @@ std::vector<std::string> NodeTable::audit() {
   }
 
   // Tree leaves + internal maxima (only meaningful once built).
-  if (incremental_ && tree_size_ != 0) {
+  if (tree_size_ != 0) {
     for (std::size_t i = 0; i < states_.size(); ++i) {
       if (tree_max_vcores_[tree_size_ + i] != leaf_vcores(states_[i], kDeadLeaf) ||
           tree_max_mem_[tree_size_ + i] != leaf_mem(states_[i], kDeadLeaf)) {

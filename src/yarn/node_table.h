@@ -1,14 +1,9 @@
 #pragma once
 
-// The RM's incremental node bookkeeping — the structure that lets the
-// scheduler hot path stop rescanning all N nodes per event.
+// The RM's node bookkeeping: the structure that keeps the scheduler
+// hot path from rescanning all N nodes per event.
 //
-// At cluster scale the per-event O(N) loops are the simulator's real
-// bottleneck: RM::node_state was a linear search, every NODE_STATUS_
-// UPDATE re-summed schedulable capacity for the wait estimator,
-// every FIFO/backfill pass re-built and re-sorted the schedulable
-// list, and first-fit walked it front to back. NodeTable owns the
-// NodeState storage and keeps, incrementally:
+// NodeTable owns the NodeState storage and keeps, incrementally:
 //
 //   * a dense id -> index map (node ids are small dense ints), making
 //     node_state() O(1) for every caller including judge_locality;
@@ -18,20 +13,15 @@
 //   * aggregate schedulable capacity/usage per dimension: O(1)
 //     wait-estimator refresh and O(1) D+ dominant-resource choice;
 //   * a segment tree of per-node available (vcores, memory) maxima —
-//     first_fit(need) descends it and returns exactly the node the
-//     legacy "lowest-id schedulable node that fits" scan returns, in
-//     O(log N) when fits are dense (worst case still O(N), but only
-//     when almost nothing fits).
+//     first_fit(need) descends it to the lowest-id schedulable node
+//     that fits, in O(log N) when fits are dense (worst case still
+//     O(N), but only when almost nothing fits).
 //
-// Determinism contract: every query answers EXACTLY what the legacy
-// full scan answers — same node choices, same sums — so traces are
-// byte-identical whichever way YarnConfig::incremental_scheduling
-// points. The toggle selects the query implementation (and skips
-// structure maintenance when off, so the legacy side of the
-// cluster-scale bench pays legacy costs only); mutations always go
-// through the funnel methods below so the structures can never drift
-// from the states they index. tests/node_table_oracle_test.cc fuzzes
-// that equivalence; audit() is its weapon.
+// Every query answers exactly what a from-scratch scan of the states
+// answers: same node choices, same sums. Mutations go through the
+// funnel methods below so the structures can never drift from the
+// states they index. tests/node_table_oracle_test.cc checks each query
+// against such a scan after every fuzzed event; audit() is its weapon.
 
 #include <cstdint>
 #include <string>
@@ -43,13 +33,10 @@ namespace mrapid::yarn {
 
 class NodeTable {
  public:
-  // `incremental` mirrors YarnConfig::incremental_scheduling.
-  explicit NodeTable(bool incremental = true) : incremental_(incremental) {}
+  NodeTable() = default;
 
   NodeTable(const NodeTable&) = delete;
   NodeTable& operator=(const NodeTable&) = delete;
-
-  bool incremental() const { return incremental_; }
 
   // Registration (RM::start). Ids must be added in ascending order;
   // the vector must not be touched behind the table's back afterwards.
@@ -63,14 +50,13 @@ class NodeTable {
   NodeState* find(cluster::NodeId id);
   const NodeState* find(cluster::NodeId id) const;
 
-  // Schedulable nodes in ascending id order. Incremental: a cached
-  // list rebuilt only on membership flips. Legacy: re-scanned into a
-  // scratch vector per call (the historical cost). Pointers stay valid
-  // until the next membership flip / add_node.
+  // Schedulable nodes in ascending id order: a cached list rebuilt
+  // only on membership flips. Pointers stay valid until the next
+  // membership flip / add_node.
   const std::vector<NodeState*>& schedulable();
 
   // Sum of capacity.vcores over schedulable nodes (wait-estimator
-  // servers). O(1) incremental, O(N) legacy.
+  // servers). O(1) between membership flips.
   int schedulable_capacity_vcores();
 
   // Schedulable totals for the D+ dominant-resource decision.
@@ -83,9 +69,9 @@ class NodeTable {
   Aggregates aggregates();
 
   // Lowest-id schedulable node with need.fits_in(available()), or
-  // nullptr — exactly the legacy front-to-back scan's answer. `skip`
-  // excludes one node (EASY's reserved node) without changing the
-  // order. O(log N) via the segment tree when incremental.
+  // nullptr. `skip` excludes one node (EASY's reserved node) without
+  // changing the order. O(log N) via the segment tree when fits are
+  // dense.
   NodeState* first_fit(Resource need, cluster::NodeId skip = cluster::kInvalidNode);
 
   // ---- mutation funnel (the ONLY way node fields may change) -------
@@ -101,7 +87,7 @@ class NodeTable {
   struct Stats {
     std::uint64_t lookups = 0;            // find() calls
     std::uint64_t first_fit_calls = 0;
-    std::uint64_t first_fit_nodes_visited = 0;  // tree leaves / scan steps
+    std::uint64_t first_fit_nodes_visited = 0;  // tree leaves reached
     std::uint64_t membership_rebuilds = 0;
     std::uint64_t tree_updates = 0;
   };
@@ -119,14 +105,11 @@ class NodeTable {
   // Leaf payload: available() per dimension, or kDeadLeaf for
   // unschedulable nodes so no non-negative need ever fits.
   static constexpr std::int64_t kDeadLeaf = -1;
-  NodeState* first_fit_scan(Resource need, cluster::NodeId skip);
-  NodeState* first_fit_tree(Resource need, cluster::NodeId skip);
 
-  bool incremental_ = true;
   std::vector<NodeState> states_;
   DenseNodeMap<std::int32_t> index_of_{-1};
 
-  std::vector<NodeState*> schedulable_;  // cached (incremental) or scratch (legacy)
+  std::vector<NodeState*> schedulable_;  // rebuilt on membership flips
   bool membership_dirty_ = true;
   Aggregates aggregates_;
 

@@ -25,8 +25,7 @@ ResourceManager::ResourceManager(cluster::Cluster& cluster, std::unique_ptr<Sche
     : cluster_(cluster),
       sim_(cluster.simulation()),
       scheduler_(std::move(scheduler)),
-      config_(config),
-      table_(config_.incremental_scheduling) {
+      config_(config) {
   scheduler_->bind(this);
 }
 

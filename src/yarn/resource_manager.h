@@ -85,9 +85,9 @@ class ResourceManager : public SchedulerContext {
   const YarnConfig& config() const { return config_; }
   cluster::Cluster& cluster() { return cluster_; }
   bool app_finished(AppId app) const;
+  std::vector<NodeState>& nodes() { return table_.states(); }
 
   // ---- SchedulerContext -------------------------------------------
-  std::vector<NodeState>& nodes() override { return table_.states(); }
   NodeState* node_state(cluster::NodeId id) override { return table_.find(id); }
   NodeTable* node_table() override { return &table_; }
   const cluster::Topology& topology() const override { return cluster_.topology(); }

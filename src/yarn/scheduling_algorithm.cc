@@ -1,6 +1,5 @@
 #include "yarn/scheduling_algorithm.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "sim/simulation.h"
@@ -27,30 +26,18 @@ sim::SimTime PolicyScheduler::now() const {
   return context_->simulation().now();
 }
 
-NodeTable* PolicyScheduler::table() {
-  return context_ != nullptr ? context_->node_table() : nullptr;
+NodeTable& PolicyScheduler::table() {
+  NodeTable* t = context().node_table();
+  assert(t != nullptr);
+  return *t;
 }
 
 const std::vector<NodeState*>& PolicyScheduler::schedulable_nodes() {
-  if (NodeTable* t = table()) return t->schedulable();
-  scratch_nodes_.clear();
-  for (auto& node : context().nodes()) {
-    if (node.schedulable()) scratch_nodes_.push_back(&node);
-  }
-  // Context node storage is built in worker order, which is ascending
-  // node id; keep the contract explicit anyway.
-  std::sort(scratch_nodes_.begin(), scratch_nodes_.end(),
-            [](const NodeState* a, const NodeState* b) { return a->id < b->id; });
-  return scratch_nodes_;
+  return table().schedulable();
 }
 
 NodeState* PolicyScheduler::first_fit(Resource need, cluster::NodeId skip) {
-  if (NodeTable* t = table()) return t->first_fit(need, skip);
-  for (NodeState* node : schedulable_nodes()) {
-    if (node->id == skip) continue;
-    if (need.fits_in(node->available())) return node;
-  }
-  return nullptr;
+  return table().first_fit(need, skip);
 }
 
 double PolicyScheduler::resolve_runtime_estimate(const Ask& ask) const {
@@ -64,15 +51,7 @@ double PolicyScheduler::resolve_runtime_estimate(const Ask& ask) const {
 }
 
 void PolicyScheduler::refresh_servers() {
-  if (NodeTable* t = table()) {
-    wait_estimator_.set_servers(t->schedulable_capacity_vcores());
-    return;
-  }
-  int vcores = 0;
-  for (const auto& node : context().nodes()) {
-    if (node.schedulable()) vcores += node.capacity.vcores;
-  }
-  wait_estimator_.set_servers(vcores);
+  wait_estimator_.set_servers(table().schedulable_capacity_vcores());
 }
 
 void PolicyScheduler::on_container_request(std::vector<Ask> asks) {
@@ -137,11 +116,7 @@ void PolicyScheduler::allocate(std::size_t index, NodeState& node, bool backfill
   assert(index < queue_.size());
   QueuedAsk entry = std::move(queue_[index]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(index));
-  if (NodeTable* t = table()) {
-    t->charge(node, entry.ask.capability);
-  } else {
-    node.used = node.used + entry.ask.capability;
-  }
+  table().charge(node, entry.ask.capability);
   Allocation allocation;
   allocation.ask = entry.ask.id;
   allocation.container =

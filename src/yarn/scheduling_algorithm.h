@@ -127,14 +127,12 @@ class PolicyScheduler : public Scheduler {
   SchedulerContext& context();
   sim::SimTime now() const;
   // Schedulable nodes in ascending id order (the deterministic
-  // iteration order every policy shares). Served from the NodeTable's
-  // cached list when the context has one (rebuilt only on membership
-  // flips); re-scanned into a scratch vector otherwise. Pointers stay
+  // iteration order every policy shares), served from the NodeTable's
+  // cached list (rebuilt only on membership flips). Pointers stay
   // valid for the duration of one schedule() pass.
   const std::vector<NodeState*>& schedulable_nodes();
   // Lowest-id schedulable node fitting `need`, skipping at most one
-  // node — exactly the front-to-back scan every FIFO-prefix policy
-  // historically did, O(log N) via the NodeTable when available.
+  // node: the NodeTable's O(log N) first-fit descent.
   NodeState* first_fit(Resource need, cluster::NodeId skip = cluster::kInvalidNode);
   cluster::Locality locality_of(const Ask& ask, cluster::NodeId node) const {
     return judge_locality(ask, node);
@@ -161,11 +159,10 @@ class PolicyScheduler : public Scheduler {
  private:
   double resolve_runtime_estimate(const Ask& ask) const;
   void refresh_servers();
-  NodeTable* table();  // context's table, or null for bare test contexts
+  NodeTable& table();  // the context's table
 
   std::unique_ptr<ISchedulingAlgorithm> algorithm_;
   PolicySchedulerOptions options_;
-  std::vector<NodeState*> scratch_nodes_;  // tableless fallback storage
   std::deque<QueuedAsk> queue_;
   std::vector<RunningContainer> running_;
   std::unordered_map<AppId, double> runtime_hints_;

@@ -166,6 +166,48 @@ TEST(ScenarioGenerator, ParseRejectsGarbage) {
   EXPECT_THROW(check::parse_scenario("policy warp-speed\nend\n"), std::invalid_argument);
 }
 
+// A valid single-job reproducer with one `key value` line replaced (or,
+// for a key it does not carry, inserted before `end`).
+std::string with_line(const std::string& key, const std::string& value) {
+  const std::string base = check::serialize_scenario(check::generate_scenario(1));
+  const std::string line = key + " " + value + "\n";
+  const std::size_t at = base.find("\n" + key + " ");
+  if (at == std::string::npos) return base.substr(0, base.rfind("end\n")) + line + "end\n";
+  const std::size_t start = at + 1;
+  return base.substr(0, start) + line + base.substr(base.find('\n', start) + 1);
+}
+
+// The parse error message for `text`, or "" when it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    check::parse_scenario(text);
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ScenarioGenerator, ParseRejectsBadGeometryNamingTheKey) {
+  ASSERT_EQ(parse_error(with_line("racks", "1")), "");
+  // Each of these used to abort on an assertion, run a different
+  // cluster than the file names, or make every mode disagree with the
+  // reference executor.
+  EXPECT_NE(parse_error(with_line("racks", "0")).find("'racks'"), std::string::npos);
+  EXPECT_NE(parse_error(with_line("workers", "0")).find("'workers'"), std::string::npos);
+  EXPECT_NE(parse_error(with_line("node_type", "a9")).find("'node_type'"), std::string::npos);
+  EXPECT_NE(parse_error(with_line("reducers", "0")).find("'reducers'"), std::string::npos);
+}
+
+TEST(ScenarioGenerator, ParseRejectsRetiredHotPathKeys) {
+  // Reproducers written while the hot paths had alternative engines
+  // may carry their selector keys; those engines are gone, so the file
+  // fails loudly instead of replaying something else.
+  for (const char* key : {"indexed_placement", "incremental_rates", "fast_shuffle"}) {
+    EXPECT_EQ(parse_error(with_line(key, "0")),
+              std::string("unknown scenario key '") + key + "'");
+  }
+}
+
 TEST(FaultPlanExpansion, IsDeterministic) {
   harness::FaultPlan plan;
   plan.heartbeat_loss_prob = 0.5;

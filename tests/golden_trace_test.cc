@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ostream>
 #include <string>
 
 #include "check/textio.h"
@@ -82,6 +83,12 @@ struct GoldenCase {
   RunMode mode;
   const char* mode_tag;
 };
+
+// gtest would otherwise print the raw bytes of the struct — string
+// pointers and padding — into the listed test name, so every build
+// (and every ASLR draw at discovery time) would give the cells new
+// ctest names.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.workload << "/" << c.mode_tag; }
 
 class GoldenTrace : public ::testing::TestWithParam<GoldenCase> {};
 

@@ -1,18 +1,19 @@
-// Differential wall for the two waterfill engines (cluster/network.h):
-// an incremental Network and a legacy full-scan Network are driven
-// through the same randomized op script (start / cancel / advance, in
-// lock-step simulations), and every assigned rate must match to 0 ULP
-// after every replan — plus the incremental side's allocation is
-// checked against an independent brute-force max-min fairness oracle
-// (feasibility on every link, and every flow crossing a saturated link
-// on which it has the maximum rate). A final test pins the
-// bounded-work claim: the incremental engine's bottleneck search must
-// not scale with fabric size the way the legacy full scan does.
+// Differential wall for the waterfill (cluster/network.h): a Network
+// is driven through a randomized op script (start / cancel / advance),
+// and after every op each assigned rate must match, to 0 ULP, a plain
+// progressive-filling reference that lives in this test and performs
+// the same floating-point operations in the same order. The allocation
+// is also checked against an independent brute-force max-min fairness
+// oracle (feasibility on every link, and every flow crossing a
+// saturated link on which it has the maximum rate). A final test pins
+// the bounded-work claim: the bottleneck search must not scale with
+// fabric size.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -129,6 +130,47 @@ void expect_max_min_fair(const Network& net, const LinkModel& model,
   }
 }
 
+// Textbook progressive filling over the test's own link model: per
+// round, scan every link for the smallest fair share (ties to the
+// lowest link index), freeze the unfrozen flows crossing it in
+// insertion order (ascending id), and subtract the share from every
+// link on their paths in path order. Network's heap-driven engine must
+// perform exactly these floating-point operations in this order.
+std::map<Network::FlowId, double> reference_rates(const LinkModel& model,
+                                                  const std::map<Network::FlowId, LiveFlow>& live) {
+  std::vector<double> residual = model.capacity;
+  std::vector<int> unassigned(residual.size(), 0);
+  std::vector<std::pair<Network::FlowId, std::vector<std::size_t>>> flows;
+  for (const auto& [id, flow] : live) {
+    flows.emplace_back(id, model.path(flow.src, flow.dst));
+    for (const std::size_t l : flows.back().second) ++unassigned[l];
+  }
+  std::map<Network::FlowId, double> rates;
+  while (rates.size() < flows.size()) {
+    double best_share = std::numeric_limits<double>::infinity();
+    std::size_t bottleneck = residual.size();
+    for (std::size_t l = 0; l < residual.size(); ++l) {
+      if (unassigned[l] == 0) continue;
+      const double share = residual[l] / unassigned[l];
+      if (share < best_share) {
+        best_share = share;
+        bottleneck = l;
+      }
+    }
+    for (const auto& [id, path] : flows) {
+      if (rates.count(id) != 0 || std::find(path.begin(), path.end(), bottleneck) == path.end()) {
+        continue;
+      }
+      rates[id] = best_share;
+      for (const std::size_t l : path) {
+        residual[l] = std::max(0.0, residual[l] - best_share);
+        --unassigned[l];
+      }
+    }
+  }
+  return rates;
+}
+
 struct Completion {
   Network::FlowId id = 0;
   std::int64_t at_micros = 0;
@@ -137,39 +179,31 @@ struct Completion {
   }
 };
 
-// Drives one fuzzed op script through both engines in lock-step.
-// FlowIds are deterministic (sequential from 1 per Network), so both
-// sides hand out the same id for the same script position — asserted,
-// then used to register completion callbacks that know their own id.
+// Drives one fuzzed op script through a Network. FlowIds are
+// deterministic (sequential from 1), so the script knows each flow's id
+// before starting it — asserted, then used to register completion
+// callbacks that know their own id.
 void run_script(std::uint64_t seed, int ops, int max_nodes) {
   RngStream rng(seed, "test.netdiff");
   const Fabric fabric = make_fabric(rng, max_nodes, /*max_racks=*/4);
-  const cluster::Topology topo_inc = fabric.topology();
-  const cluster::Topology topo_full = fabric.topology();
+  const cluster::Topology topology = fabric.topology();
 
-  NetworkConfig inc_config;
-  inc_config.incremental_rates = true;
-  NetworkConfig full_config;
-  full_config.incremental_rates = false;
-
-  sim::Simulation sim_inc(seed);
-  sim::Simulation sim_full(seed);
-  Network inc(sim_inc, topo_inc, fabric.nic_rates, inc_config);
-  Network full(sim_full, topo_full, fabric.nic_rates, full_config);
-  const LinkModel model(fabric, topo_inc, inc_config);
+  sim::Simulation sim(seed);
+  Network net(sim, topology, fabric.nic_rates, NetworkConfig{});
+  const LinkModel model(fabric, topology, NetworkConfig{});
 
   std::map<Network::FlowId, LiveFlow> live;  // bytes > 0, not yet done/cancelled
-  std::vector<Completion> done_inc, done_full;
+  std::map<Network::FlowId, Bytes> bytes_of;
+  std::vector<Completion> done;
+  Bytes expected_delivered = 0;
   Network::FlowId next_id = 1;
 
   std::int64_t now_us = 0;
   for (int op = 0; op < ops; ++op) {
     now_us += rng.next_int(0, 400'000);
-    sim_inc.run_until(sim::SimTime::from_micros(now_us));
-    sim_full.run_until(sim::SimTime::from_micros(now_us));
-    // Completions that fired during the advance leave the live set;
-    // cross-engine agreement on them is checked via the logs below.
-    for (const Completion& c : done_inc) live.erase(c.id);
+    sim.run_until(sim::SimTime::from_micros(now_us));
+    // Completions that fired during the advance leave the live set.
+    for (const Completion& c : done) live.erase(c.id);
 
     const std::int64_t kind = rng.next_int(0, 9);
     if (kind <= 5) {  // start (kind 5: a zero-byte flow)
@@ -177,47 +211,50 @@ void run_script(std::uint64_t seed, int ops, int max_nodes) {
       const auto dst = static_cast<NodeId>(rng.next_int(0, fabric.nodes() - 1));
       const Bytes bytes = kind == 5 ? 0 : 64_KB * rng.next_int(1, 64);
       const Network::FlowId id = next_id++;
-      const auto id_inc = inc.start_flow(src, dst, bytes, [&done_inc, &sim_inc, id](sim::SimDuration) {
-        done_inc.push_back({id, sim_inc.now().as_micros()});
+      const auto started = net.start_flow(src, dst, bytes, [&done, &sim, id](sim::SimDuration) {
+        done.push_back({id, sim.now().as_micros()});
       });
-      const auto id_full = full.start_flow(src, dst, bytes, [&done_full, &sim_full, id](sim::SimDuration) {
-        done_full.push_back({id, sim_full.now().as_micros()});
-      });
-      ASSERT_EQ(id_inc, id) << "seed " << seed << " op " << op;
-      ASSERT_EQ(id_full, id) << "seed " << seed << " op " << op;
+      ASSERT_EQ(started, id) << "seed " << seed << " op " << op;
+      expected_delivered += bytes;
+      bytes_of[id] = bytes;
       if (bytes > 0) live.emplace(id, LiveFlow{src, dst});
     } else if (kind <= 7 && next_id > 1) {  // cancel (possibly of a finished id)
       const auto target = static_cast<Network::FlowId>(rng.next_int(1, static_cast<std::int64_t>(next_id) - 1));
-      const bool cancelled_inc = inc.cancel(target);
-      const bool cancelled_full = full.cancel(target);
-      ASSERT_EQ(cancelled_inc, cancelled_full) << "seed " << seed << " op " << op;
-      ASSERT_EQ(cancelled_inc, live.count(target) == 1) << "seed " << seed << " op " << op;
+      const bool cancelled = net.cancel(target);
+      ASSERT_EQ(cancelled, live.count(target) == 1) << "seed " << seed << " op " << op;
+      if (cancelled) expected_delivered -= bytes_of[target];
       live.erase(target);
     }
     // kind 8-9: pure time advance.
 
-    ASSERT_EQ(inc.active_flows(), live.size()) << "seed " << seed << " op " << op;
-    ASSERT_EQ(full.active_flows(), live.size()) << "seed " << seed << " op " << op;
+    ASSERT_EQ(net.active_flows(), live.size()) << "seed " << seed << " op " << op;
+    const std::map<Network::FlowId, double> reference = reference_rates(model, live);
     for (const auto& [id, flow] : live) {
       // The 0-ULP contract: identical FP operations in identical
       // order, so exact equality — not near-equality — on every rate.
-      ASSERT_EQ(inc.flow_rate(id).bytes_per_sec, full.flow_rate(id).bytes_per_sec)
+      ASSERT_EQ(net.flow_rate(id).bytes_per_sec, reference.at(id))
           << "seed " << seed << " op " << op << " flow " << id;
     }
-    expect_max_min_fair(inc, model, live);
+    expect_max_min_fair(net, model, live);
     if (::testing::Test::HasFatalFailure()) return;
   }
 
-  // Drain: both sides must finish every remaining flow, at the same
-  // instants, in the same order.
-  sim_inc.run_until(sim::SimTime::from_micros(now_us + 3'600'000'000LL));
-  sim_full.run_until(sim::SimTime::from_micros(now_us + 3'600'000'000LL));
-  EXPECT_EQ(inc.active_flows(), 0u) << "seed " << seed;
-  EXPECT_EQ(full.active_flows(), 0u) << "seed " << seed;
-  EXPECT_EQ(done_inc, done_full) << "seed " << seed << ": completion logs diverged";
-  EXPECT_EQ(inc.bytes_delivered(), full.bytes_delivered()) << "seed " << seed;
-  EXPECT_EQ(inc.stats().flows_started, full.stats().flows_started) << "seed " << seed;
-  EXPECT_EQ(inc.stats().replans, full.stats().replans) << "seed " << seed;
+  // Drain: every remaining flow finishes, completions arrive in time
+  // order, and exactly the bytes of the uncancelled flows arrive.
+  sim.run_until(sim::SimTime::from_micros(now_us + 3'600'000'000LL));
+  EXPECT_EQ(net.active_flows(), 0u) << "seed " << seed;
+  EXPECT_TRUE(std::is_sorted(done.begin(), done.end(),
+                             [](const Completion& a, const Completion& b) {
+                               return a.at_micros < b.at_micros;
+                             }))
+      << "seed " << seed;
+  EXPECT_EQ(net.bytes_delivered(), expected_delivered) << "seed " << seed;
+  EXPECT_EQ(net.stats().flows_started, static_cast<std::uint64_t>(
+                                           std::count_if(bytes_of.begin(), bytes_of.end(),
+                                                         [](const auto& entry) {
+                                                           return entry.second > 0;
+                                                         })))
+      << "seed " << seed;
 }
 
 TEST(NetworkRatesDiff, FuzzedScriptsMatchToZeroUlp) {
@@ -251,48 +288,42 @@ TEST(NetworkRatesDiff, UnknownFlowLookupsAreCheap) {
   EXPECT_FALSE(net.cancel(id));
 }
 
-TEST(NetworkRatesDiff, IncrementalWorkIsIndependentOfFabricSize) {
-  // A 1500-node fabric with a handful of flows: the legacy engine
-  // scans every link per waterfill round, the incremental engine only
-  // pops heap entries for links the flows actually cross.
-  constexpr int kNodes = 1500;
+// One fixed script on a fabric of `nodes` nodes in six racks: eight
+// long flows from nodes 0..7 to the last eight nodes, then each
+// cancelled. Whenever `nodes` is a multiple of six the flows see the
+// same rack layout and the same relative link order on every fabric.
+Network::Stats run_fixed_script(int nodes) {
   Fabric fabric;
   fabric.racks.resize(6);
-  for (int node = 0; node < kNodes; ++node) {
+  for (int node = 0; node < nodes; ++node) {
     fabric.racks[static_cast<std::size_t>(node % 6)].push_back(static_cast<NodeId>(node));
     fabric.nic_rates.push_back(Rate::gbit_per_sec(1));
   }
-  const cluster::Topology topo_inc = fabric.topology();
-  const cluster::Topology topo_full = fabric.topology();
-  NetworkConfig inc_config;
-  inc_config.incremental_rates = true;
-  NetworkConfig full_config;
-  full_config.incremental_rates = false;
-  sim::Simulation sim_inc(1);
-  sim::Simulation sim_full(1);
-  Network inc(sim_inc, topo_inc, fabric.nic_rates, inc_config);
-  Network full(sim_full, topo_full, fabric.nic_rates, full_config);
-
+  const cluster::Topology topology = fabric.topology();
+  sim::Simulation sim(1);
+  Network net(sim, topology, fabric.nic_rates, NetworkConfig{});
   std::vector<Network::FlowId> ids;
   for (int i = 0; i < 8; ++i) {
-    const auto src = static_cast<NodeId>(i);
-    const auto dst = static_cast<NodeId>(kNodes - 1 - i);
-    ids.push_back(inc.start_flow(src, dst, 512_MB, [](sim::SimDuration) {}));
-    full.start_flow(src, dst, 512_MB, [](sim::SimDuration) {});
+    ids.push_back(net.start_flow(static_cast<NodeId>(i), static_cast<NodeId>(nodes - 1 - i),
+                                 512_MB, [](sim::SimDuration) {}));
   }
   for (const auto id : ids) {
-    ASSERT_EQ(inc.flow_rate(id).bytes_per_sec, full.flow_rate(id).bytes_per_sec);
-    inc.cancel(id);
-    full.cancel(id);
+    EXPECT_GT(net.flow_rate(id).bytes_per_sec, 0.0);
+    net.cancel(id);
   }
-  ASSERT_EQ(inc.stats().replans, full.stats().replans);
+  return net.stats();
+}
+
+TEST(NetworkRatesDiff, IncrementalWorkIsIndependentOfFabricSize) {
+  // The bottleneck search pops heap entries only for links the flows
+  // cross, so a 1,500-node fabric costs what a 24-node one does.
+  const Network::Stats small = run_fixed_script(24);
+  const Network::Stats large = run_fixed_script(1500);
+  ASSERT_EQ(small.replans, large.replans);
+  EXPECT_EQ(small.links_scanned, large.links_scanned);
   // 8 flows touch <= 8 * 4 links; even with one stale pop per freeze
-  // the incremental engine stays two orders of magnitude under the
-  // full scan's links * rounds * replans.
-  const std::uint64_t total_links = 3 * kNodes + 2 * 6;
-  EXPECT_GE(full.stats().links_scanned, total_links);  // at least one full sweep
-  EXPECT_LE(inc.stats().links_scanned, inc.stats().replans * 64);
-  EXPECT_LT(inc.stats().links_scanned * 100, full.stats().links_scanned);
+  // the search stays far below one sweep of the 4,512-link fabric.
+  EXPECT_LE(large.links_scanned, large.replans * 64);
 }
 
 }  // namespace

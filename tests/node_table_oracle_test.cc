@@ -1,14 +1,12 @@
-// The incremental-vs-full-scan oracle for yarn::NodeTable (PR 8).
+// The from-scratch-scan oracle for yarn::NodeTable.
 //
 // The table's contract is exact equivalence: every query must answer
-// what the historical O(nodes) scan answered, whichever way the
-// incremental toggle points. Two attack layers:
+// what an O(nodes) scan of the raw states answers. Two attack layers:
 //
-//   1. A randomized mutation fuzz drives an incremental table and a
-//      legacy twin through identical funnel calls; after EVERY event
-//      audit() must be clean, and schedulable / aggregates /
-//      first_fit answers must match a from-scratch reference scan —
-//      and each other — including under membership churn (deaths,
+//   1. A randomized mutation fuzz drives a table through funnel calls;
+//      after EVERY event audit() must be clean, and schedulable /
+//      aggregates / first_fit answers must match a from-scratch
+//      reference scan, including under membership churn (deaths,
 //      rejoins, blacklists) and an EASY-style skip node.
 //
 //   2. Full worlds under every registry policy run a faulted job with
@@ -17,9 +15,9 @@
 //      produces (allocation, release, pending-release heartbeats,
 //      node expiry, blacklisting, rejoin).
 //
-// Plus the PR's bounded-visit guarantee: on a large cluster the
-// incremental structures must keep per-event visited-node counts
-// near-constant, asserted from NodeTable::Stats, not eyeballed.
+// Plus the bounded-visit guarantee: on a large cluster the incremental
+// structures must keep per-event visited-node counts near-constant,
+// asserted from NodeTable::Stats, not eyeballed.
 
 #include <algorithm>
 #include <cstdint>
@@ -44,8 +42,8 @@ using yarn::Resource;
 
 // ---- layer 1: randomized mutation fuzz ----------------------------
 
-// From-scratch answers computed off the raw states — the legacy scan
-// the table must agree with, reimplemented independently here.
+// From-scratch answers computed off the raw states, the scans the
+// table must agree with, implemented independently here.
 std::vector<cluster::NodeId> reference_schedulable(const std::vector<NodeState>& states) {
   std::vector<cluster::NodeId> ids;
   for (const NodeState& node : states) {
@@ -82,55 +80,51 @@ std::vector<cluster::NodeId> ids_of(const std::vector<NodeState*>& nodes) {
   return ids;
 }
 
-// Checks one table against the reference scans (and audit()).
-void expect_matches_reference(NodeTable& table, Resource need, cluster::NodeId skip,
-                              const char* which) {
+// Checks the table against the reference scans (and audit()).
+void expect_matches_reference(NodeTable& table, Resource need, cluster::NodeId skip) {
   const std::vector<std::string> findings = table.audit();
-  EXPECT_TRUE(findings.empty()) << which << ": " << findings.front();
-  EXPECT_EQ(ids_of(table.schedulable()), reference_schedulable(table.states())) << which;
+  EXPECT_TRUE(findings.empty()) << findings.front();
+  EXPECT_EQ(ids_of(table.schedulable()), reference_schedulable(table.states()));
 
   const NodeTable::Aggregates agg = table.aggregates();
   const NodeTable::Aggregates ref = reference_aggregates(table.states());
-  EXPECT_EQ(agg.total_vcores, ref.total_vcores) << which;
-  EXPECT_EQ(agg.used_vcores, ref.used_vcores) << which;
-  EXPECT_EQ(agg.total_mem, ref.total_mem) << which;
-  EXPECT_EQ(agg.used_mem, ref.used_mem) << which;
+  EXPECT_EQ(agg.total_vcores, ref.total_vcores);
+  EXPECT_EQ(agg.used_vcores, ref.used_vcores);
+  EXPECT_EQ(agg.total_mem, ref.total_mem);
+  EXPECT_EQ(agg.used_mem, ref.used_mem);
+  EXPECT_EQ(table.schedulable_capacity_vcores(), ref.total_vcores);
 
   NodeState* fit = table.first_fit(need, skip);
   EXPECT_EQ(fit != nullptr ? fit->id : cluster::kInvalidNode,
             reference_first_fit(table.states(), need, skip))
-      << which << " need=" << need.to_string() << " skip=" << skip;
+      << "need=" << need.to_string() << " skip=" << skip;
 }
 
 TEST(NodeTableOracle, FuzzedMutationsMatchFromScratchScanAfterEveryEvent) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     RngStream rng(0xAB1E, "node-table-oracle/" + std::to_string(seed));
 
-    NodeTable incremental(/*incremental=*/true);
-    NodeTable legacy(/*incremental=*/false);
+    NodeTable table;
     const int node_count = static_cast<int>(rng.next_int(1, 48));
     for (int i = 0; i < node_count; ++i) {
       NodeState state;
       state.id = i;
       state.capacity =
           Resource{static_cast<int>(rng.next_int(1, 16)), rng.next_int(1, 16) * 1024};
-      incremental.add_node(state);
-      legacy.add_node(state);
+      table.add_node(state);
     }
 
     const int ops = 400;
     for (int op = 0; op < ops; ++op) {
       const auto index = static_cast<std::size_t>(rng.next_int(0, node_count - 1));
-      NodeState& a = incremental.states()[index];
-      NodeState& b = legacy.states()[index];
+      NodeState& a = table.states()[index];
       switch (rng.next_int(0, 7)) {
         case 0: {  // allocate: charge something that fits (the RM invariant)
           const Resource avail = a.available();
           if (avail.vcores < 1 || avail.memory_mb < 512) break;
           const Resource amount{static_cast<int>(rng.next_int(1, avail.vcores)),
                                 rng.next_int(1, avail.memory_mb / 512) * 512};
-          incremental.charge(a, amount);
-          legacy.charge(b, amount);
+          table.charge(a, amount);
           break;
         }
         case 1: {  // launch failure: uncharge part of what's charged
@@ -138,8 +132,7 @@ TEST(NodeTableOracle, FuzzedMutationsMatchFromScratchScanAfterEveryEvent) {
           if (chargeable.vcores < 1 || chargeable.memory_mb < 512) break;
           const Resource amount{static_cast<int>(rng.next_int(1, chargeable.vcores)),
                                 rng.next_int(1, chargeable.memory_mb / 512) * 512};
-          incremental.uncharge(a, amount);
-          legacy.uncharge(b, amount);
+          table.uncharge(a, amount);
           break;
         }
         case 2: {  // release: park resources until the next heartbeat
@@ -147,33 +140,27 @@ TEST(NodeTableOracle, FuzzedMutationsMatchFromScratchScanAfterEveryEvent) {
           if (chargeable.vcores < 1 || chargeable.memory_mb < 512) break;
           const Resource amount{static_cast<int>(rng.next_int(1, chargeable.vcores)),
                                 rng.next_int(1, chargeable.memory_mb / 512) * 512};
-          incremental.add_pending_release(a, amount);
-          legacy.add_pending_release(b, amount);
+          table.add_pending_release(a, amount);
           break;
         }
         case 3:  // the node's heartbeat applies parked releases
-          incremental.apply_pending_release(a);
-          legacy.apply_pending_release(b);
+          table.apply_pending_release(a);
           break;
         case 4:  // expiry / rejoin wipe
-          incremental.void_resources(a);
-          legacy.void_resources(b);
+          table.void_resources(a);
           break;
         case 5: {  // liveness flip
           const bool alive = !a.alive;
-          incremental.set_alive(a, alive);
-          legacy.set_alive(b, alive);
+          table.set_alive(a, alive);
           break;
         }
         case 6: {  // blacklist flip
           const bool blacklisted = !a.blacklisted;
-          incremental.set_blacklisted(a, blacklisted);
-          legacy.set_blacklisted(b, blacklisted);
+          table.set_blacklisted(a, blacklisted);
           break;
         }
         default:
-          incremental.record_failure(a);
-          legacy.record_failure(b);
+          table.record_failure(a);
           break;
       }
 
@@ -181,10 +168,7 @@ TEST(NodeTableOracle, FuzzedMutationsMatchFromScratchScanAfterEveryEvent) {
       const cluster::NodeId skip =
           rng.next_int(0, 3) == 0 ? static_cast<cluster::NodeId>(rng.next_int(0, node_count - 1))
                                   : cluster::kInvalidNode;
-      expect_matches_reference(incremental, need, skip, "incremental");
-      expect_matches_reference(legacy, need, skip, "legacy");
-      // And the two toggles must agree with each other bit for bit.
-      EXPECT_EQ(ids_of(incremental.schedulable()), ids_of(legacy.schedulable()));
+      expect_matches_reference(table, need, skip);
       if (HasFatalFailure() || HasNonfatalFailure()) {
         FAIL() << "divergence at seed " << seed << " op " << op;
       }
@@ -248,8 +232,8 @@ TEST(NodeTableOracle, EveryRegistryPolicyStaysConsistentUnderFaults) {
 // The point of the overhaul: scheduler work per event must not scale
 // with cluster size. On a 512-node world running one small job, the
 // average nodes visited per first_fit call must stay near 1 (the tree
-// descends straight to the leftmost fit when the cluster is idle) —
-// the legacy scan visited O(alive nodes) every call.
+// descends straight to the leftmost fit when the cluster is idle),
+// where a front-to-back scan would visit O(alive nodes) every call.
 TEST(NodeTableOracle, FirstFitVisitsStayBoundedOnLargeCluster) {
   harness::WorldConfig config;
   config.cluster =
@@ -270,7 +254,7 @@ TEST(NodeTableOracle, FirstFitVisitsStayBoundedOnLargeCluster) {
   ASSERT_GT(stats.first_fit_calls, 0u);
   const double visited_per_call = static_cast<double>(stats.first_fit_nodes_visited) /
                                   static_cast<double>(stats.first_fit_calls);
-  // Tree descent touches a handful of segment-tree leaves; the legacy
+  // Tree descent touches a handful of segment-tree leaves; a linear
   // scan would average hundreds here. Generous headroom, but orders of
   // magnitude below 512.
   EXPECT_LT(visited_per_call, 8.0);

@@ -21,6 +21,7 @@
 #include "cluster/topology.h"
 #include "common/rng.h"
 #include "sim/simulation.h"
+#include "yarn/node_table.h"
 #include "yarn/policies.h"
 #include "yarn/scheduling_algorithm.h"
 
@@ -30,32 +31,27 @@ namespace {
 using cluster::Locality;
 
 // A minimal RM stand-in: owns the clock, the rack topology and the
-// NodeState table, and captures delivered allocations. Freed resources
-// are un-charged by the test directly (the real RM's NM-heartbeat lag
-// is irrelevant to the policy invariants under test).
+// NodeTable, and captures delivered allocations. Freed resources are
+// un-charged by the test directly (the real RM's NM-heartbeat lag is
+// irrelevant to the policy invariants under test), through the table's
+// mutation funnel like every other node change.
 class FakeContext : public yarn::SchedulerContext {
  public:
   FakeContext(std::vector<std::vector<cluster::NodeId>> racks, yarn::Resource per_node)
       : topology_(racks) {
-    for (const auto& rack : racks) {
-      for (cluster::NodeId id : rack) {
-        yarn::NodeState state;
-        state.id = id;
-        state.capacity = per_node;
-        nodes_.push_back(state);
-      }
+    std::vector<cluster::NodeId> ids;
+    for (const auto& rack : racks) ids.insert(ids.end(), rack.begin(), rack.end());
+    std::sort(ids.begin(), ids.end());  // the table wants ascending ids
+    for (cluster::NodeId id : ids) {
+      yarn::NodeState state;
+      state.id = id;
+      state.capacity = per_node;
+      table_.add_node(state);
     }
-    std::sort(nodes_.begin(), nodes_.end(),
-              [](const yarn::NodeState& a, const yarn::NodeState& b) { return a.id < b.id; });
   }
 
-  std::vector<yarn::NodeState>& nodes() override { return nodes_; }
-  yarn::NodeState* node_state(cluster::NodeId id) override {
-    for (auto& node : nodes_) {
-      if (node.id == id) return &node;
-    }
-    return nullptr;
-  }
+  yarn::NodeState* node_state(cluster::NodeId id) override { return table_.find(id); }
+  yarn::NodeTable* node_table() override { return &table_; }
   const cluster::Topology& topology() const override { return topology_; }
   yarn::ContainerId next_container_id() override { return next_id_++; }
   void deliver_allocation(const yarn::Allocation& allocation) override {
@@ -71,10 +67,15 @@ class FakeContext : public yarn::SchedulerContext {
     sim_.run();
   }
 
+  void set_alive(cluster::NodeId id, bool alive) { table_.set_alive(*table_.find(id), alive); }
+  void set_blacklisted(cluster::NodeId id, bool blacklisted) {
+    table_.set_blacklisted(*table_.find(id), blacklisted);
+  }
+
  private:
   sim::Simulation sim_;
   cluster::Topology topology_;
-  std::vector<yarn::NodeState> nodes_;
+  yarn::NodeTable table_;
   yarn::ContainerId next_id_ = 1;
   std::vector<yarn::Allocation> delivered_;
 };
@@ -116,8 +117,8 @@ TEST(JudgeLocality, HealthyReplicaGivesNodeRackAnyLadder) {
 
 TEST(JudgeLocality, AllPreferredReplicasDeadDegradesToAny) {
   LocalityRig rig;
-  rig.ctx.node_state(0)->alive = false;
-  rig.ctx.node_state(1)->alive = false;
+  rig.ctx.set_alive(0, false);
+  rig.ctx.set_alive(1, false);
   const yarn::Ask ask = make_ask(1, 1, 1, {0, 1});
   // Even on a replica's own (expired) node or its rack mate, a dead
   // replica offers no local read: deterministic kAny, twice.
@@ -130,7 +131,7 @@ TEST(JudgeLocality, AllPreferredReplicasDeadDegradesToAny) {
 
 TEST(JudgeLocality, BlacklistedAliveReplicaDegradesNodeLocalToRackLocal) {
   LocalityRig rig;
-  rig.ctx.node_state(0)->blacklisted = true;  // still alive: HDFS serves
+  rig.ctx.set_blacklisted(0, true);  // still alive: HDFS serves
   const yarn::Ask ask = make_ask(1, 1, 1, {0});
   EXPECT_EQ(rig.sched.locality_of(ask, 0), Locality::kRackLocal);
   EXPECT_EQ(rig.sched.locality_of(ask, 1), Locality::kRackLocal);
@@ -139,7 +140,7 @@ TEST(JudgeLocality, BlacklistedAliveReplicaDegradesNodeLocalToRackLocal) {
 
 TEST(JudgeLocality, DeadReplicaSkippedMinTakenOverSurvivors) {
   LocalityRig rig;
-  rig.ctx.node_state(0)->alive = false;
+  rig.ctx.set_alive(0, false);
   const yarn::Ask ask = make_ask(1, 1, 1, {0, 2});
   EXPECT_EQ(rig.sched.locality_of(ask, 2), Locality::kNodeLocal);
   EXPECT_EQ(rig.sched.locality_of(ask, 3), Locality::kRackLocal);
@@ -191,7 +192,7 @@ struct BackfillRig {
       if (it->end_s <= now_s + 1e-9) {
         yarn::NodeState* node = ctx.node_state(it->container.node);
         ASSERT_NE(node, nullptr);
-        node->used = node->used - it->container.resource;
+        ctx.node_table()->uncharge(*node, it->container.resource);
         sched.on_container_finished(it->container);
         it = live.erase(it);
       } else {

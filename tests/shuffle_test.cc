@@ -1,10 +1,13 @@
-// The shuffle/job fast path (MRConfig::fast_shuffle): the partition-
-// once MapOutputRegistry against fresh per-fetch partition calls under
-// fuzzed outcomes, the O(M) vs O(M·R) partition-call counts through a
-// real job, and the fetch-engine edge cases — zero-map jobs, all-zero
-// shards, the same-node in-memory path, and fetch re-announcement
-// after a source-node crash mid-shuffle — each driven once per toggle
-// corner with the full traces held to byte equality.
+// The shuffle engine (mapreduce/shuffle.h, mapreduce/task_runner.h):
+// the partition-once MapOutputRegistry against fresh per-fetch
+// partition calls under fuzzed outcomes (the oracle), the once-per-map
+// partition-call count through a real job, and the fetch-engine edge
+// cases — zero-map jobs, all-zero shards, the same-node in-memory
+// path, and fetch re-announcement after a source-node crash
+// mid-shuffle. Each edge case runs at both registry corners: a
+// registry the driver announces up front (as an AM does) and one the
+// runner builds lazily from the fetched outcomes (a direct drive); the
+// full traces must match byte for byte.
 
 #include <gtest/gtest.h>
 
@@ -87,10 +90,10 @@ mr::MapTaskResult make_result(int index, cluster::NodeId node, Bytes bytes,
 
 // A minimal fetch-engine drive: one simulation, a small cluster, and
 // hand-fabricated map results fed straight to a ReduceRunner — each
-// edge-case scenario runs once per fast_shuffle corner and the full
-// trace must match byte for byte.
+// edge-case scenario runs once per registry corner and the full trace
+// must match byte for byte.
 struct DirectDrive {
-  DirectDrive(const mr::JobLogic& logic, bool fast, int reducers)
+  DirectDrive(const mr::JobLogic& logic, bool announced, int reducers)
       : cluster(sim, cluster::ClusterConfig::uniform(8, 2, cluster::azure_a3())),
         hdfs(cluster, hdfs::HdfsConfig{}),
         killed(std::make_shared<bool>(false)) {
@@ -98,8 +101,19 @@ struct DirectDrive {
     spec.name = "drive";
     spec.logic = &logic;
     spec.num_reducers = reducers;
-    config.fast_shuffle = fast;
     config.shuffle_stats = &stats;
+    if (announced) registry = std::make_unique<mr::MapOutputRegistry>(spec, kMaxMaps, &stats);
+  }
+
+  // Announced corner: partition `results` into the shared registry and
+  // hand it to `runner`, as an AM does. Lazy corner: nothing; the
+  // runner partitions each outcome on its first fetch.
+  void announce(mr::ReduceRunner& runner, std::span<const mr::MapTaskResult> results) {
+    if (!registry) return;
+    for (const mr::MapTaskResult& result : results) {
+      registry->announce(result.profile.index, result.outcome);
+    }
+    runner.set_registry(registry.get());
   }
 
   mr::TaskEnv env() { return {sim, cluster, hdfs, config, killed}; }
@@ -114,6 +128,8 @@ struct DirectDrive {
   mr::ShuffleStats stats;
   mr::JobSpec spec;
   std::shared_ptr<bool> killed;
+  static constexpr int kMaxMaps = 8;
+  std::unique_ptr<mr::MapOutputRegistry> registry;
 };
 
 TEST(MapOutputRegistry, PartitionsOnceAndServesEveryPartition) {
@@ -173,10 +189,10 @@ TEST(MapOutputRegistry, LazyAnnounceAndInvalidate) {
             6_KB);
 }
 
-// The shard-equivalence contract under fuzzed outcomes: for random
+// The shard-equivalence oracle under fuzzed outcomes: for random
 // outcomes and reducer counts, the registry's shards must equal what a
-// fresh per-fetch partition_map_output call (the legacy path) returns
-// — bytes, records, core-seconds, and the payload pointer itself.
+// fresh per-fetch partition_map_output call returns — bytes, records,
+// core-seconds, and the payload pointer itself.
 TEST(MapOutputRegistry, FuzzedShardEquivalenceWithPerFetchPartition) {
   HashLogic logic;
   RngStream rng(1234, "test.shuffle.fuzz");
@@ -208,60 +224,47 @@ TEST(MapOutputRegistry, FuzzedShardEquivalenceWithPerFetchPartition) {
   }
 }
 
-// Through a real job: the registry partitions each map exactly once
-// (O(M) calls) where the legacy path partitions per fetch (O(M·R));
-// both sides perform the identical M·R fetches.
+// Through a real job: the registry partitions each map exactly once,
+// while every reducer still fetches every map (M·R fetches).
 TEST(ShuffleCounters, PartitionCallCountsAreOncePerMapUnderFastShuffle) {
-  auto run = [](bool fast, mr::ShuffleStats& stats, std::size_t& maps) {
-    harness::WorldConfig config;
-    config.mr.fast_shuffle = fast;
-    config.mr.shuffle_stats = &stats;
-    wl::WordCountParams params;
-    params.num_files = 3;
-    params.bytes_per_file = 256_KB;
-    wl::WordCount wc(params);
-    harness::World world(config, harness::RunMode::kHadoop);
-    auto result = world.run(wc, [](mr::JobSpec& spec) { spec.num_reducers = 3; });
-    ASSERT_TRUE(result.has_value() && result->succeeded);
-    maps = result->profile.maps.size();
-  };
-
-  mr::ShuffleStats fast_stats;
-  std::size_t fast_maps = 0;
-  run(true, fast_stats, fast_maps);
-  ASSERT_GT(fast_maps, 0u);
-  EXPECT_EQ(fast_stats.partition_calls, fast_maps);
-  EXPECT_EQ(fast_stats.fetches, fast_maps * 3);
-
-  mr::ShuffleStats legacy_stats;
-  std::size_t legacy_maps = 0;
-  run(false, legacy_stats, legacy_maps);
-  EXPECT_EQ(legacy_maps, fast_maps);
-  EXPECT_EQ(legacy_stats.partition_calls, legacy_maps * 3);
-  EXPECT_EQ(legacy_stats.fetches, legacy_maps * 3);
+  mr::ShuffleStats stats;
+  harness::WorldConfig config;
+  config.mr.shuffle_stats = &stats;
+  wl::WordCountParams params;
+  params.num_files = 3;
+  params.bytes_per_file = 256_KB;
+  wl::WordCount wc(params);
+  harness::World world(config, harness::RunMode::kHadoop);
+  auto result = world.run(wc, [](mr::JobSpec& spec) { spec.num_reducers = 3; });
+  ASSERT_TRUE(result.has_value() && result->succeeded);
+  const std::size_t maps = result->profile.maps.size();
+  ASSERT_GT(maps, 0u);
+  EXPECT_EQ(stats.partition_calls, maps);
+  EXPECT_EQ(stats.fetches, maps * 3);
 }
 
 TEST(ShuffleEdgeCases, ZeroMapJobReducesImmediatelyOnBothCorners) {
-  auto run = [](bool fast) {
+  auto run = [](bool announced) {
     HashLogic logic;
-    DirectDrive d(logic, fast, /*reducers=*/1);
+    DirectDrive d(logic, announced, /*reducers=*/1);
     bool done = false;
     mr::ReduceRunner runner(d.env(), d.spec, 0, "/out/zero-maps", 1, /*total_maps=*/0,
                             [&done](mr::TaskProfile, mr::ReduceOutcome) { done = true; });
+    d.announce(runner, {});
     runner.start();
     d.drain();
     EXPECT_TRUE(done);
     return d.trace();
   };
-  const std::string fast = run(true);
-  ASSERT_FALSE(fast.empty());
-  EXPECT_EQ(fast, run(false));
+  const std::string announced = run(true);
+  ASSERT_FALSE(announced.empty());
+  EXPECT_EQ(announced, run(false));
 }
 
 TEST(ShuffleEdgeCases, AllZeroByteShardsFetchLocallyOnBothCorners) {
-  auto run = [](bool fast) {
+  auto run = [](bool announced) {
     ToReducerZeroLogic logic;
-    DirectDrive d(logic, fast, /*reducers=*/2);
+    DirectDrive d(logic, announced, /*reducers=*/2);
     std::vector<mr::MapTaskResult> results;
     for (int m = 0; m < 4; ++m) {
       results.push_back(make_result(m, static_cast<cluster::NodeId>(2 + m), 8_KB, 64, false));
@@ -271,6 +274,7 @@ TEST(ShuffleEdgeCases, AllZeroByteShardsFetchLocallyOnBothCorners) {
     // zero bytes, so no disk or network leg may start.
     mr::ReduceRunner runner(d.env(), d.spec, 1, "/out/zero-bytes", 1, /*total_maps=*/4,
                             [&done](mr::TaskProfile, mr::ReduceOutcome) { done = true; });
+    d.announce(runner, results);
     runner.start();
     const std::uint64_t flows_before = d.cluster.network().stats().flows_started;
     runner.on_map_outputs(results);
@@ -279,15 +283,15 @@ TEST(ShuffleEdgeCases, AllZeroByteShardsFetchLocallyOnBothCorners) {
     EXPECT_TRUE(done);
     return d.trace();
   };
-  const std::string fast = run(true);
-  ASSERT_FALSE(fast.empty());
-  EXPECT_EQ(fast, run(false));
+  const std::string announced = run(true);
+  ASSERT_FALSE(announced.empty());
+  EXPECT_EQ(announced, run(false));
 }
 
 TEST(ShuffleEdgeCases, AllMapsOnReducerNodeInMemorySkipNetworkOnBothCorners) {
-  auto run = [](bool fast) {
+  auto run = [](bool announced) {
     ToReducerZeroLogic logic;
-    DirectDrive d(logic, fast, /*reducers=*/1);
+    DirectDrive d(logic, announced, /*reducers=*/1);
     std::vector<mr::MapTaskResult> results;
     for (int m = 0; m < 4; ++m) {
       // Non-zero output cached in the consuming JVM's memory on the
@@ -297,6 +301,7 @@ TEST(ShuffleEdgeCases, AllMapsOnReducerNodeInMemorySkipNetworkOnBothCorners) {
     bool done = false;
     mr::ReduceRunner runner(d.env(), d.spec, 0, "/out/in-memory", /*node=*/2, /*total_maps=*/4,
                             [&done](mr::TaskProfile, mr::ReduceOutcome) { done = true; });
+    d.announce(runner, results);
     runner.start();
     const std::uint64_t flows_before = d.cluster.network().stats().flows_started;
     runner.on_map_outputs(results);
@@ -305,15 +310,15 @@ TEST(ShuffleEdgeCases, AllMapsOnReducerNodeInMemorySkipNetworkOnBothCorners) {
     EXPECT_TRUE(done);
     return d.trace();
   };
-  const std::string fast = run(true);
-  ASSERT_FALSE(fast.empty());
-  EXPECT_EQ(fast, run(false));
+  const std::string announced = run(true);
+  ASSERT_FALSE(announced.empty());
+  EXPECT_EQ(announced, run(false));
 }
 
 TEST(ShuffleEdgeCases, SourceCrashMidShuffleReannouncesOnBothCorners) {
-  auto run = [](bool fast) {
+  auto run = [](bool announced) {
     HashLogic logic;
-    DirectDrive d(logic, fast, /*reducers=*/1);
+    DirectDrive d(logic, announced, /*reducers=*/1);
     std::vector<mr::MapTaskResult> results;
     for (int m = 0; m < 4; ++m) {
       results.push_back(
@@ -331,6 +336,7 @@ TEST(ShuffleEdgeCases, SourceCrashMidShuffleReannouncesOnBothCorners) {
       failed_index = map_index;
       runner.on_map_output(rerun);
     });
+    d.announce(runner, results);
     runner.start();
     // Maps 1..3 shuffle normally; then map 0's source dies before its
     // output moved.
@@ -342,9 +348,9 @@ TEST(ShuffleEdgeCases, SourceCrashMidShuffleReannouncesOnBothCorners) {
     EXPECT_EQ(failed_index, 0);
     return d.trace();
   };
-  const std::string fast = run(true);
-  ASSERT_FALSE(fast.empty());
-  EXPECT_EQ(fast, run(false));
+  const std::string announced = run(true);
+  ASSERT_FALSE(announced.empty());
+  EXPECT_EQ(announced, run(false));
 }
 
 }  // namespace

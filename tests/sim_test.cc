@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/bandwidth.h"
@@ -208,6 +213,61 @@ TEST(SimulationTest, ProcessedEventsAccumulates) {
   EXPECT_EQ(sim.processed_events(), 3u);
   sim.run();
   EXPECT_EQ(sim.processed_events(), 5u);
+}
+
+TEST(SimulationTest, MergedTimerAndQueueDispatchFollowsSchedulingOrder) {
+  // Timers live in the wheel and plain events in the queue; run_until
+  // must merge them as one queue ordered by (time, order of
+  // scheduling) would. The oracle records every schedule call with a
+  // running counter, drops the cancelled timer, and sorts.
+  using Entry = std::tuple<std::int64_t, int, int>;  // (time us, order, tag)
+  Simulation sim(0xBEEF);
+  std::vector<Entry> scheduled;
+  std::vector<std::pair<std::int64_t, int>> fired;
+  int order = 0;
+  auto note = [&](SimDuration delay, int tag) {
+    scheduled.emplace_back((sim.now() + delay).as_micros(), order++, tag);
+  };
+
+  int next_tag = 1000;
+  std::function<void(int)> beat = [&](int id) {
+    fired.emplace_back(sim.now().as_micros(), id);
+    if (sim.now() < SimTime::from_micros(50'000)) {
+      // Same-instant tie on purpose: a timer and a plain event both
+      // land 1 ms from now, distinguished only by scheduling order.
+      const SimDuration period = SimDuration::micros(1000);
+      note(period, id);
+      sim.schedule_timer(period, [&beat, id] { beat(id); });
+      const int tag = next_tag++;
+      note(period, tag);
+      sim.schedule_after(period, [&fired, &sim, tag] {
+        fired.emplace_back(sim.now().as_micros(), tag);
+      });
+    }
+  };
+  for (int n = 0; n < 5; ++n) {
+    note(SimDuration::micros(100 * n), n);
+    sim.schedule_timer(SimDuration::micros(100 * n), [&beat, n] { beat(n); });
+  }
+  // A timer cancelled before it fires must never dispatch. It still
+  // takes its place in the scheduling order, so it is noted (and then
+  // dropped) like any other.
+  note(SimDuration::micros(777), -1);
+  const EventId doomed =
+      sim.schedule_timer(SimDuration::micros(777), [&fired] { fired.emplace_back(-1, -1); });
+  note(SimDuration::micros(500), -2);
+  sim.schedule_after(SimDuration::micros(500), [&sim, &fired, doomed] {
+    fired.emplace_back(sim.now().as_micros(), -2);
+    EXPECT_TRUE(sim.cancel(doomed));
+  });
+  sim.run_until(SimTime::from_micros(60'000));
+
+  std::erase_if(scheduled, [](const Entry& e) { return std::get<2>(e) == -1; });
+  std::sort(scheduled.begin(), scheduled.end());
+  std::vector<std::pair<std::int64_t, int>> expected;
+  for (const auto& [time, seq, tag] : scheduled) expected.emplace_back(time, tag);
+  ASSERT_GT(expected.size(), 200u);
+  EXPECT_EQ(fired, expected);
 }
 
 // ---- bandwidth -------------------------------------------------------
