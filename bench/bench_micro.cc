@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot paths:
 // event queue throughput, fluid bandwidth re-planning, the network
-// waterfill, Zipf text generation, and the WordCount tokenizer. These
-// guard the *wall-clock* cost of running the figure benches.
+// waterfill, Zipf text generation, the WordCount tokenizer and its
+// token-id map, and the Halton kernel. These guard the *wall-clock*
+// cost of running the figure benches.
 //
 // Registered as an on-request experiment ("micro"): wall-clock output
 // cannot be byte-identical across runs, so it only executes when
@@ -15,6 +16,7 @@
 #include "common/rng.h"
 #include "sim/bandwidth.h"
 #include "sim/simulation.h"
+#include "workloads/pi.h"
 #include "workloads/textgen.h"
 #include "workloads/wordcount.h"
 
@@ -85,6 +87,7 @@ void BM_NetworkWaterfill(benchmark::State& state) {
 BENCHMARK(BM_NetworkWaterfill)->Arg(8)->Arg(64);
 
 void BM_ZipfTextGeneration(benchmark::State& state) {
+  // Word ranks drawn through the vocabulary's ZipfSampler, spelled out.
   const Bytes bytes = state.range(0) * 1_KB;
   wl::TextGenerator gen(42);
   std::uint64_t tag = 0;
@@ -99,13 +102,52 @@ void BM_Tokenizer(benchmark::State& state) {
   wl::TextGenerator gen(42);
   const std::string text = gen.generate(state.range(0) * 1_KB, 0);
   for (auto _ : state) {
-    wl::WordCounts counts;
+    wl::WordTally counts;
     wl::tokenize_into(text, counts);
     benchmark::DoNotOptimize(counts.size());
   }
   state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_Tokenizer)->Arg(64)->Arg(1024);
+
+void BM_TokenIdMap(benchmark::State& state) {
+  // The WordCount map over one split, corpus file already cached: what
+  // BM_Tokenizer computes, counted by vocabulary id.
+  wl::WordCountParams params;
+  params.num_files = 1;
+  params.bytes_per_file = state.range(0) * 1_KB;
+  mr::InputSplit split;
+  split.path = "/input/micro/part-00000";
+  split.length = params.bytes_per_file;
+  wl::WordCount(params).execute_map(split);  // builds the cached file
+  for (auto _ : state) {
+    const wl::WordCount wc(params);  // fresh: maps are memoised per instance
+    benchmark::DoNotOptimize(wc.execute_map(split).output_bytes);
+  }
+  state.SetBytesProcessed(state.iterations() * params.bytes_per_file);
+}
+BENCHMARK(BM_TokenIdMap)->Arg(64)->Arg(1024);
+
+void BM_HaltonPoints(benchmark::State& state) {
+  // Consecutive points from a paper map start (the 400m sweep's map 1),
+  // in the Pi map's batches.
+  const std::int64_t points = state.range(0);
+  std::vector<double> xs(4096), ys(4096);
+  std::int64_t begin = 100'000'000;
+  for (auto _ : state) {
+    std::int64_t inside = 0;
+    for (std::int64_t done = 0; done < points; done += 4096) {
+      wl::Pi::halton_points(begin + done, xs, ys);
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        if ((xs[i] - 0.5) * (xs[i] - 0.5) + (ys[i] - 0.5) * (ys[i] - 0.5) <= 0.25) ++inside;
+      }
+    }
+    benchmark::DoNotOptimize(inside);
+    begin += points;
+  }
+  state.SetItemsProcessed(state.iterations() * points);
+}
+BENCHMARK(BM_HaltonPoints)->Arg(4096 * 25);
 
 void BM_FullShortJobSimulation(benchmark::State& state) {
   // Wall-clock cost of one complete simulated short job (the unit of

@@ -84,6 +84,20 @@ echo "=== [release] sim_core bench ==="
 build-release/bench/mrapid_bench --filter sim_core --smoke \
   --json build-release/BENCH_simcore.json > /dev/null
 
+echo "=== [release] end-to-end benchmark check ==="
+# perfbench's own unit tests, then the paper-sweep workload once
+# (--seconds 0: the minimum number of processes) at the held-out seed
+# 7. run.py exits 0 even when a check fails, so the step reads its last
+# stdout line, a JSON object: "correct" is true only when every job's
+# digest equals the reference executor's and the combined digest equals
+# the one recorded in perfbench/digests.json, which makes the recorded
+# digests a gate on the workload payload's answers.
+python3 -m unittest discover -s perfbench/tests
+python3 perfbench/run.py --workload paper-sweep --seed 7 --seconds 0 --trace 0 \
+  > build-release/perfbench_paper_sweep.txt
+tail -n 1 build-release/perfbench_paper_sweep.txt |
+  python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] else 1)'
+
 echo "=== [release] determinism gate ==="
 # Golden traces and fuzzer reproducers live in the source tree and are
 # only ever rewritten under GOLDEN_UPDATE=1 / --shrink, which CI never
@@ -94,7 +108,10 @@ echo "=== [release] determinism gate ==="
 # from-scratch scans for the NodeTable, a candidate-vector scan for
 # placement, a textbook progressive-filling reference (0 ULP) plus a
 # brute-force max-min check for the waterfill, and per-fetch
-# partitioning for the shuffle registry.
+# partitioning for the shuffle registry. The workload payload's kernels
+# are held to theirs the same way: the per-call Zipf formula for the
+# sampler, the string tokenizer for the token-id WordCount map, and the
+# Halton digit loop (memcmp) for the Pi kernel.
 git diff --exit-code -- tests/golden tests/regressions
 
 run_config sanitize build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMRAPID_SANITIZE=ON

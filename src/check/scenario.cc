@@ -42,9 +42,11 @@ harness::FaultKind parse_fault_kind(const std::string& name) {
 
 // Rejects geometry the generator never produces and the runtime does
 // not honour: the cluster and HDFS builders assert on zero racks or
-// workers, world_config() maps any node type other than a2 to a3, and
-// the reference executor clamps the reducer count to at least one
-// while the runtime does not.
+// workers, world_config() maps any node type other than a2 to a3, the
+// reference executor clamps the reducer count to at least one while
+// the runtime does not, and the TeraSort and Pi constructors assert on
+// empty payloads. Every key is checked whichever workload the file
+// names, since serialize_scenario() writes them all.
 void validate_geometry(const FuzzScenario& s) {
   auto reject = [](const std::string& key, const std::string& why) {
     throw std::invalid_argument("bad scenario value for '" + key + "': " + why);
@@ -60,6 +62,10 @@ void validate_geometry(const FuzzScenario& s) {
     reject("racks", std::to_string(s.racks) + " is outside 1.." + std::to_string(s.workers + 1));
   }
   if (s.reducers < 1) reject("reducers", std::to_string(s.reducers) + " is below 1");
+  if (s.rows < 1) reject("rows", std::to_string(s.rows) + " is below 1");
+  if (s.blocks < 1) reject("blocks", std::to_string(s.blocks) + " is below 1");
+  if (s.samples < 1) reject("samples", std::to_string(s.samples) + " is below 1");
+  if (s.pi_maps < 1) reject("pi_maps", std::to_string(s.pi_maps) + " is below 1");
 }
 
 }  // namespace

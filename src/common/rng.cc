@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -76,38 +77,52 @@ double RngStream::next_exponential(double mean) {
   return -mean * std::log(u);
 }
 
-std::int64_t RngStream::next_zipf(std::int64_t n, double s) {
+RngStream RngStream::fork(std::string_view name) const {
+  return RngStream(seed_material_, name);
+}
+
+ZipfSampler::ZipfSampler(std::int64_t n, double s)
+    : n_(n),
+      nd_(static_cast<double>(n)),
+      s_(s),
+      one_minus_s_(1.0 - s),
+      unit_s_(std::fabs(1.0 - s) < 1e-12),
+      h_int_x1_(0.0),
+      h_int_n_(0.0) {
   assert(n >= 1 && s > 0);
-  if (n == 1) return 1;
-  // Rejection-inversion sampling (Hörmann & Derflinger 1996).
-  const double nd = static_cast<double>(n);
-  auto h_integral = [s](double x) {
-    const double log_x = std::log(x);
-    if (std::fabs(1.0 - s) < 1e-12) return log_x;
-    return (std::exp((1.0 - s) * log_x) - 1.0) / (1.0 - s);
-  };
-  auto h = [s](double x) { return std::exp(-s * std::log(x)); };
-  const double h_int_x1 = h_integral(1.5) - 1.0;
-  const double h_int_n = h_integral(nd + 0.5);
-  for (;;) {
-    const double u = h_int_n + next_double() * (h_int_x1 - h_int_n);
-    // Inverse of h_integral.
-    double x;
-    if (std::fabs(1.0 - s) < 1e-12) {
-      x = std::exp(u);
-    } else {
-      x = std::exp(std::log(1.0 + u * (1.0 - s)) / (1.0 - s));
-    }
-    const double k = std::floor(x + 0.5);
-    if (k < 1 || k > nd) continue;
-    if (k - x <= h_int_x1 || u >= h_integral(k + 0.5) - h(k)) {
-      return static_cast<std::int64_t>(k);
-    }
+  h_int_x1_ = h_integral(1.5) - 1.0;
+  h_int_n_ = h_integral(nd_ + 0.5);
+  constexpr std::int64_t kTabulatedRanks = 1 << 16;
+  accept_.resize(static_cast<std::size_t>(std::min(n, kTabulatedRanks)));
+  for (std::size_t i = 0; i < accept_.size(); ++i) {
+    const auto k = static_cast<double>(i + 1);
+    accept_[i] = h_integral(k + 0.5) - h(k);
   }
 }
 
-RngStream RngStream::fork(std::string_view name) const {
-  return RngStream(seed_material_, name);
+double ZipfSampler::h_integral(double x) const {
+  const double log_x = std::log(x);
+  if (unit_s_) return log_x;
+  return (std::exp(one_minus_s_ * log_x) - 1.0) / one_minus_s_;
+}
+
+double ZipfSampler::h(double x) const { return std::exp(-s_ * std::log(x)); }
+
+std::int64_t ZipfSampler::operator()(RngStream& rng) const {
+  if (n_ == 1) return 1;
+  for (;;) {
+    const double u = h_int_n_ + rng.next_double() * (h_int_x1_ - h_int_n_);
+    // Inverse of h_integral.
+    const double x =
+        unit_s_ ? std::exp(u) : std::exp(std::log(1.0 + u * one_minus_s_) / one_minus_s_);
+    const double k = std::floor(x + 0.5);
+    if (k < 1 || k > nd_) continue;
+    if (k - x <= h_int_x1_) return static_cast<std::int64_t>(k);
+    const auto rank = static_cast<std::size_t>(k);
+    if (u >= (rank <= accept_.size() ? accept_[rank - 1] : h_integral(k + 0.5) - h(k))) {
+      return static_cast<std::int64_t>(k);
+    }
+  }
 }
 
 }  // namespace mrapid

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace mrapid {
 
@@ -38,11 +39,6 @@ class RngStream {
   // Exponentially distributed with the given mean (> 0).
   double next_exponential(double mean);
 
-  // Zipf-distributed rank in [1, n] with exponent s (> 0), via
-  // rejection-inversion (Hörmann & Derflinger). Used by the synthetic
-  // text generator to draw word ranks.
-  std::int64_t next_zipf(std::int64_t n, double s);
-
   // Fork a child stream whose sequence is independent of the parent's
   // but fully determined by (parent seed material, name).
   RngStream fork(std::string_view name) const;
@@ -50,6 +46,38 @@ class RngStream {
  private:
   std::uint64_t state_[4];
   std::uint64_t seed_material_;
+};
+
+// Zipf-distributed ranks in [1, n] with exponent s (> 0), via
+// rejection-inversion (Hörmann & Derflinger). Used by the synthetic
+// text generator to draw word ranks. Everything that depends only on
+// (n, s) is computed once here, including the acceptance bound of the
+// most frequent ranks; each draw then performs the same floating-point
+// operations on the same values as the textbook per-call formula, so
+// a stream yields the same ranks either way.
+class ZipfSampler {
+ public:
+  ZipfSampler(std::int64_t n, double s);
+
+  std::int64_t operator()(RngStream& rng) const;
+
+  // Heap bytes held by the precomputed bounds.
+  std::size_t footprint_bytes() const { return accept_.capacity() * sizeof(double); }
+
+ private:
+  double h_integral(double x) const;
+  double h(double x) const;
+
+  std::int64_t n_;
+  double nd_;
+  double s_;
+  double one_minus_s_;
+  bool unit_s_;  // s == 1 to 1e-12: H(x) = log x
+  double h_int_x1_;
+  double h_int_n_;
+  // accept_[k - 1] = h_integral(k + 0.5) - h(k) for the first ranks,
+  // which take most draws.
+  std::vector<double> accept_;
 };
 
 // Stable 64-bit FNV-1a hash, used to mix stream names into seeds.

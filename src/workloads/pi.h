@@ -12,6 +12,8 @@
 // full count. This is the documented simulate-the-scale substitution.
 
 #include <memory>
+#include <span>
+#include <utility>
 
 #include "workloads/workload.h"
 
@@ -54,8 +56,11 @@ class Pi : public Workload {
     return std::static_pointer_cast<const PiResult>(result.reduce_result);
   }
 
-  // The 2-D Halton point for index i (bases 2 and 3). Exposed for
-  // tests.
+  // The 2-D Halton points (bases 2 and 3) for indices begin,
+  // begin + 1, ..., one per element of xs and ys (equal sizes). Exposed
+  // for tests.
+  static void halton_points(std::int64_t begin, std::span<double> xs, std::span<double> ys);
+  // The point for one index.
   static std::pair<double, double> halton_point(std::int64_t index);
 
  private:

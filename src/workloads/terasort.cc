@@ -5,6 +5,7 @@
 
 #include "common/hash.h"
 #include "common/rng.h"
+#include "workloads/dataset_cache.h"
 
 namespace mrapid::wl {
 
@@ -12,20 +13,22 @@ TeraSort::TeraSort(TeraSortParams params) : params_(params) {
   assert(params_.rows > 0 && params_.blocks > 0);
 }
 
-const TeraRows& TeraSort::rows() const {
-  if (rows_cache_.empty()) {
-    RngStream rng(params_.seed, "teragen");
-    rows_cache_.reserve(static_cast<std::size_t>(params_.rows));
-    for (std::int64_t i = 0; i < params_.rows; ++i) {
-      TeraRow row;
-      for (auto& c : row.key) {
-        c = static_cast<char>(' ' + rng.next_int(0, 94));  // printable, like TeraGen
-      }
-      row.payload_tag = static_cast<std::uint64_t>(i);
-      rows_cache_.push_back(row);
-    }
-  }
-  return rows_cache_;
+std::shared_ptr<const TeraRows> TeraSort::rows() const {
+  return DatasetCache::instance().acquire_as<TeraRows>(
+      DatasetKey::teragen(params_.seed, params_.rows), [this] {
+        auto rows = std::make_shared<TeraRows>();
+        RngStream rng(params_.seed, "teragen");
+        rows->reserve(static_cast<std::size_t>(params_.rows));
+        for (std::int64_t i = 0; i < params_.rows; ++i) {
+          TeraRow row;
+          for (auto& c : row.key) {
+            c = static_cast<char>(' ' + rng.next_int(0, 94));  // printable, like TeraGen
+          }
+          row.payload_tag = static_cast<std::uint64_t>(i);
+          rows->push_back(row);
+        }
+        return DatasetCache::Built{rows, rows->capacity() * sizeof(TeraRow)};
+      });
 }
 
 std::vector<std::string> TeraSort::stage(hdfs::Hdfs& hdfs) {
@@ -46,7 +49,8 @@ std::vector<std::string> TeraSort::stage(hdfs::Hdfs& hdfs) {
 
 mr::MapOutcome TeraSort::execute_map(const mr::InputSplit& split) const {
   if (auto it = map_cache_.find(split.offset); it != map_cache_.end()) return it->second;
-  const TeraRows& all = rows();
+  const std::shared_ptr<const TeraRows> table = rows();
+  const TeraRows& all = *table;
   const auto first = static_cast<std::size_t>(split.offset / kRowBytes);
   const auto count = static_cast<std::size_t>(split.length / kRowBytes);
   assert(first + count <= all.size());
@@ -69,7 +73,8 @@ const std::vector<TeraRow>& TeraSort::boundaries(int reducers) const {
   if (it != boundaries_cache_.end()) return it->second;
   // Sample every k-th row (deterministic), sort the sample, pick R-1
   // evenly spaced boundary keys — the TeraSort sampling pass.
-  const TeraRows& all = rows();
+  const std::shared_ptr<const TeraRows> table = rows();
+  const TeraRows& all = *table;
   TeraRows sample;
   const std::size_t stride = std::max<std::size_t>(1, all.size() / 1024);
   for (std::size_t i = 0; i < all.size(); i += stride) sample.push_back(all[i]);

@@ -7,8 +7,10 @@
 // workload the paper uses to stress U+'s cache/spill behaviour.
 
 #include <array>
+#include <cstring>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "workloads/workload.h"
@@ -21,7 +23,20 @@ struct TeraRow {
   // burn memory; sizes are accounted analytically (100 B per row).
   std::uint64_t payload_tag;
 
-  friend bool operator<(const TeraRow& a, const TeraRow& b) { return a.key < b.key; }
+  // The key as big-endian integers (bytes 0-7, then 8-9). Keys are
+  // printable ASCII, so these order rows as std::array's char compare
+  // does, in two integer compares.
+  std::pair<std::uint64_t, std::uint16_t> order_key() const {
+    std::uint64_t head = 0;
+    std::uint16_t tail = 0;
+    std::memcpy(&head, key.data(), sizeof(head));
+    std::memcpy(&tail, key.data() + sizeof(head), sizeof(tail));
+    return {__builtin_bswap64(head), __builtin_bswap16(tail)};
+  }
+
+  friend bool operator<(const TeraRow& a, const TeraRow& b) {
+    return a.order_key() < b.order_key();
+  }
   friend bool operator==(const TeraRow& a, const TeraRow& b) { return a.key == b.key; }
 };
 
@@ -65,13 +80,13 @@ class TeraSort : public Workload {
   }
 
  private:
-  const TeraRows& rows() const;
+  // TeraGen output, shared through the dataset cache.
+  std::shared_ptr<const TeraRows> rows() const;
   // Partition boundaries for R reducers, from a deterministic sample
   // of the input keys (cached per R).
   const std::vector<TeraRow>& boundaries(int reducers) const;
 
   TeraSortParams params_;
-  mutable TeraRows rows_cache_;  // TeraGen output, generated lazily
   mutable std::map<int, std::vector<TeraRow>> boundaries_cache_;
   // Sorting a split is deterministic; memoise across modes/attempts.
   mutable std::map<Bytes, mr::MapOutcome> map_cache_;  // keyed by split offset

@@ -27,32 +27,122 @@ std::string input_path(const WordCountParams& params, std::size_t index) {
   std::snprintf(buf, sizeof(buf), "/part-%05zu", index);
   return input_dir(params) + buf;
 }
+
+// The counts a tokenizer gives for bytes [begin, end) of `file`. Whole
+// tokens are counted by canonical id in a dense array, whose order is
+// the words' order. A token cut by the range or by the end of the file
+// is spelled out as the fragment the tokenizer would see, and merged in
+// by spelling, since a fragment may itself be a vocabulary word.
+WordCounts count_range(const Vocabulary& vocabulary, const CorpusFile& file, Bytes begin,
+                       Bytes end) {
+  end = std::min(end, file.bytes);
+  std::vector<std::int64_t> tally(vocabulary.distinct(), 0);
+  std::vector<std::string> fragments;
+  // Seek to the last checkpoint at or before `begin`.
+  const auto after = static_cast<std::size_t>(
+      std::upper_bound(file.starts.begin(), file.starts.end(), begin) - file.starts.begin());
+  std::size_t token = after == 0 ? 0 : (after - 1) * CorpusFile::kStride;
+  Bytes pos = after == 0 ? 0 : file.starts[after - 1];
+  for (; token < file.ranks.size() && pos < end; ++token) {
+    const std::uint32_t rank = file.ranks[token];
+    const auto length = static_cast<Bytes>(vocabulary.length(rank));
+    const Bytes lo = std::max(pos, begin);
+    const Bytes hi = std::min(pos + length, end);
+    if (lo < hi) {
+      if (lo == pos && hi == pos + length) {
+        ++tally[vocabulary.id(rank)];
+      } else {
+        fragments.push_back(vocabulary.word(rank).substr(static_cast<std::size_t>(lo - pos),
+                                                         static_cast<std::size_t>(hi - lo)));
+      }
+    }
+    pos += length + 1;
+  }
+
+  std::vector<std::string> strangers;  // fragments that spell no vocabulary word
+  for (std::string& fragment : fragments) {
+    if (const auto id = vocabulary.find(fragment)) {
+      ++tally[*id];
+    } else {
+      strangers.push_back(std::move(fragment));
+    }
+  }
+  const auto seen =
+      std::count_if(tally.begin(), tally.end(), [](std::int64_t count) { return count > 0; });
+  WordCounts counts;
+  counts.reserve(static_cast<std::size_t>(seen) + strangers.size());
+  for (std::uint32_t id = 0; id < tally.size(); ++id) {
+    if (tally[id] > 0) counts.emplace_back(vocabulary.spelling(id), tally[id]);
+  }
+  for (std::string& stranger : strangers) {
+    const auto at = std::lower_bound(
+        counts.begin(), counts.end(), stranger,
+        [](const auto& entry, const std::string& word) { return entry.first < word; });
+    if (at != counts.end() && at->first == stranger) {
+      ++at->second;
+    } else {
+      counts.emplace(at, std::move(stranger), 1);
+    }
+  }
+  return counts;
+}
+
+// Merges runs sorted by word into one, summing the counts of equal words.
+WordCounts merge_counts(const std::vector<const WordCounts*>& runs) {
+  struct Head {
+    std::string_view word;  // of *at
+    WordCounts::const_iterator at;
+    WordCounts::const_iterator end;
+  };
+  std::vector<Head> heap;
+  std::size_t largest = 0;
+  for (const WordCounts* run : runs) {
+    if (!run->empty()) heap.push_back({run->front().first, run->begin(), run->end()});
+    largest = std::max(largest, run->size());
+  }
+  const auto later = [](const Head& a, const Head& b) { return b.word < a.word; };
+  std::make_heap(heap.begin(), heap.end(), later);
+  WordCounts merged;
+  merged.reserve(largest);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Head& head = heap.back();
+    if (!merged.empty() && merged.back().first == head.word) {
+      merged.back().second += head.at->second;
+    } else {
+      merged.push_back(*head.at);
+    }
+    if (++head.at != head.end) {
+      head.word = head.at->first;
+      std::push_heap(heap.begin(), heap.end(), later);
+    } else {
+      heap.pop_back();
+    }
+  }
+  return merged;
+}
+
 }  // namespace
 
-void tokenize_into(std::string_view text, WordCounts& counts) {
+void tokenize_into(std::string_view text, WordTally& tally) {
   std::size_t begin = 0;
   while (begin < text.size()) {
     while (begin < text.size() && (text[begin] == ' ' || text[begin] == '\n')) ++begin;
     std::size_t end = begin;
     while (end < text.size() && text[end] != ' ' && text[end] != '\n') ++end;
-    if (end > begin) ++counts[std::string(text.substr(begin, end - begin))];
+    if (end > begin) ++tally[std::string(text.substr(begin, end - begin))];
     begin = end;
   }
 }
 
-WordCount::WordCount(WordCountParams params)
-    : params_(params), generator_(params.seed, params.vocabulary, params.zipf_s) {
-  content_cache_.resize(params_.num_files);
+WordCounts sorted_counts(const WordTally& tally) {
+  WordCounts counts(tally.begin(), tally.end());
+  std::sort(counts.begin(), counts.end());
+  return counts;
 }
 
-const std::string& WordCount::file_content(std::size_t file_index) const {
-  assert(file_index < content_cache_.size());
-  std::string& cached = content_cache_[file_index];
-  if (cached.empty() && params_.bytes_per_file > 0) {
-    cached = generator_.generate(params_.bytes_per_file, file_index);
-  }
-  return cached;
-}
+WordCount::WordCount(WordCountParams params)
+    : params_(params), generator_(params.seed, params.vocabulary, params.zipf_s) {}
 
 std::vector<std::string> WordCount::stage(hdfs::Hdfs& hdfs) {
   std::vector<std::string> paths;
@@ -82,13 +172,13 @@ mr::MapOutcome WordCount::execute_map(const mr::InputSplit& split) const {
   const std::size_t part = split.path.rfind("/part-");
   assert(part != std::string::npos);
   std::sscanf(split.path.c_str() + part, "/part-%zu", &file_index);
-  const std::string& content = file_content(file_index);
+  assert(file_index < params_.num_files);
+  const std::shared_ptr<const CorpusFile> file =
+      generator_.file(params_.bytes_per_file, file_index);
 
-  const auto offset = static_cast<std::size_t>(split.offset);
-  const auto length = static_cast<std::size_t>(split.length);
-  assert(offset + length <= content.size() + 1);
-  auto counts = std::make_shared<WordCounts>();
-  tokenize_into(std::string_view(content).substr(offset, length), *counts);
+  assert(split.offset + split.length <= file->bytes + 1);
+  auto counts = std::make_shared<WordCounts>(count_range(
+      generator_.vocabulary(), *file, split.offset, split.offset + split.length));
 
   mr::MapOutcome outcome;
   std::int64_t tokens = 0;
@@ -115,14 +205,13 @@ mr::MapOutcome WordCount::execute_map(const mr::InputSplit& split) const {
 }
 
 mr::ReduceOutcome WordCount::execute_reduce(std::span<const mr::MapOutcome> maps) const {
-  auto merged = std::make_shared<WordCounts>();
+  std::vector<const WordCounts*> runs;
   Bytes shuffled = 0;
   for (const auto& map : maps) {
     shuffled += map.output_bytes;
-    if (!map.data) continue;
-    const auto& counts = *std::static_pointer_cast<const WordCounts>(map.data);
-    for (const auto& [word, count] : counts) (*merged)[word] += count;
+    if (map.data) runs.push_back(std::static_pointer_cast<const WordCounts>(map.data).get());
   }
+  auto merged = std::make_shared<WordCounts>(merge_counts(runs));
   mr::ReduceOutcome outcome;
   outcome.output_bytes = serialized_size(*merged);
   outcome.core_seconds = params_.reduce_throughput.seconds_for(shuffled);
@@ -136,10 +225,11 @@ std::vector<mr::MapOutcome> WordCount::partition_map_output(const mr::MapOutcome
   std::vector<std::shared_ptr<WordCounts>> shards(static_cast<std::size_t>(reducers));
   for (auto& shard : shards) shard = std::make_shared<WordCounts>();
   if (outcome.data) {
+    // Appending in word order keeps every shard sorted.
     const auto& counts = *std::static_pointer_cast<const WordCounts>(outcome.data);
     for (const auto& [word, count] : counts) {
       const auto r = stable_hash64(word) % static_cast<std::uint64_t>(reducers);
-      (*shards[static_cast<std::size_t>(r)])[word] = count;
+      shards[static_cast<std::size_t>(r)]->emplace_back(word, count);
     }
   }
   std::vector<mr::MapOutcome> out(static_cast<std::size_t>(reducers));
@@ -153,9 +243,9 @@ std::vector<mr::MapOutcome> WordCount::partition_map_output(const mr::MapOutcome
 }
 
 std::uint64_t WordCount::result_digest(const mr::JobResult& result) const {
-  // WordCounts is an unordered_map, so each partition is sorted by
-  // word before hashing; the partitions themselves are disjoint and
-  // ordered, so they are folded in partition order.
+  // Each partition is already sorted by word; the partitions
+  // themselves are disjoint and ordered, so they are folded in
+  // partition order.
   Fnv64 digest;
   digest.mix(static_cast<std::uint64_t>(result.reduce_results.size()));
   for (const auto& erased : result.reduce_results) {
@@ -164,13 +254,9 @@ std::uint64_t WordCount::result_digest(const mr::JobResult& result) const {
       continue;
     }
     const auto& counts = *std::static_pointer_cast<const WordCounts>(erased);
-    std::vector<std::pair<std::string_view, std::int64_t>> sorted;
-    sorted.reserve(counts.size());
-    for (const auto& [word, count] : counts) sorted.emplace_back(word, count);
-    std::sort(sorted.begin(), sorted.end());
-    digest.mix(static_cast<std::uint64_t>(sorted.size()));
-    for (const auto& [word, count] : sorted) {
-      digest.mix(word);
+    digest.mix(static_cast<std::uint64_t>(counts.size()));
+    for (const auto& [word, count] : counts) {
+      digest.mix(std::string_view(word));
       digest.mix(count);
     }
   }
@@ -178,9 +264,11 @@ std::uint64_t WordCount::result_digest(const mr::JobResult& result) const {
 }
 
 WordCounts WordCount::reference_counts() const {
-  WordCounts counts;
-  for (std::size_t i = 0; i < params_.num_files; ++i) tokenize_into(file_content(i), counts);
-  return counts;
+  WordTally tally;
+  for (std::size_t i = 0; i < params_.num_files; ++i) {
+    tokenize_into(generator_.spell(*generator_.file(params_.bytes_per_file, i)), tally);
+  }
+  return sorted_counts(tally);
 }
 
 }  // namespace mrapid::wl

@@ -1,14 +1,17 @@
 #pragma once
 
 // WordCount, matching the Hadoop examples program: tokenising map with
-// an in-map combiner, summing reduce. The map really tokenises the
-// generated corpus, so word totals are verifiable against the
-// generator, and the measured intermediate sizes drive the simulator.
+// an in-map combiner, summing reduce. The map counts its split's tokens
+// by canonical vocabulary id, which gives exactly the counts tokenising
+// the split's text would (tokenize_into is the oracle), so word totals
+// are verifiable against the generator, and the measured intermediate
+// sizes drive the simulator.
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -18,8 +21,12 @@
 
 namespace mrapid::wl {
 
-// Intermediate and final data type: word -> count.
-using WordCounts = std::unordered_map<std::string, std::int64_t>;
+// Intermediate and final data type: (word, count) pairs sorted by
+// word, each word once.
+using WordCounts = std::vector<std::pair<std::string, std::int64_t>>;
+
+// The string-keyed tally the tokenizer oracle fills.
+using WordTally = std::unordered_map<std::string, std::int64_t>;
 
 struct WordCountParams {
   std::size_t num_files = 4;
@@ -64,7 +71,7 @@ class WordCount : public Workload {
     return static_cast<Bytes>(params_.num_files) * params_.bytes_per_file;
   }
 
-  // Ground truth for tests: tokenise everything directly.
+  // Ground truth for tests: tokenise the text of every file directly.
   WordCounts reference_counts() const;
 
   static std::shared_ptr<const WordCounts> result_of(const mr::JobResult& result) {
@@ -72,19 +79,20 @@ class WordCount : public Workload {
   }
 
  private:
-  const std::string& file_content(std::size_t file_index) const;
   static Bytes serialized_size(const WordCounts& counts);
 
   WordCountParams params_;
   TextGenerator generator_;
-  mutable std::vector<std::string> content_cache_;  // lazily generated, per file
   // execute_map is deterministic per split, and experiment harnesses
   // run the same splits across many modes/attempts — memoise.
   mutable std::map<std::pair<std::string, Bytes>, mr::MapOutcome> map_cache_;
 };
 
-// Tokenise `text` into `counts` (splits on spaces/newlines). Exposed
-// for tests.
-void tokenize_into(std::string_view text, WordCounts& counts);
+// Tokenise `text` into `tally` (splits on spaces/newlines): the
+// string-based oracle for WordCount's token-id map. Exposed for tests.
+void tokenize_into(std::string_view text, WordTally& tally);
+
+// `tally` as flat counts, sorted by word.
+WordCounts sorted_counts(const WordTally& tally);
 
 }  // namespace mrapid::wl

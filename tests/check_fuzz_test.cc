@@ -196,6 +196,12 @@ TEST(ScenarioGenerator, ParseRejectsBadGeometryNamingTheKey) {
   EXPECT_NE(parse_error(with_line("workers", "0")).find("'workers'"), std::string::npos);
   EXPECT_NE(parse_error(with_line("node_type", "a9")).find("'node_type'"), std::string::npos);
   EXPECT_NE(parse_error(with_line("reducers", "0")).find("'reducers'"), std::string::npos);
+  // Empty payloads used to abort in the TeraSort and Pi constructors.
+  for (const char* key : {"rows", "blocks", "samples", "pi_maps"}) {
+    EXPECT_NE(parse_error(with_line(key, "0")).find(std::string("'") + key + "'"),
+              std::string::npos)
+        << key;
+  }
 }
 
 TEST(ScenarioGenerator, ParseRejectsRetiredHotPathKeys) {

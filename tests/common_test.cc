@@ -110,8 +110,9 @@ TEST(Rng, ExponentialHasRequestedMean) {
 
 TEST(Rng, ZipfRanksInRange) {
   RngStream rng(13);
+  const ZipfSampler zipf(1000, 1.1);
   for (int i = 0; i < 5000; ++i) {
-    const std::int64_t r = rng.next_zipf(1000, 1.1);
+    const std::int64_t r = zipf(rng);
     EXPECT_GE(r, 1);
     EXPECT_LE(r, 1000);
   }
@@ -120,9 +121,10 @@ TEST(Rng, ZipfRanksInRange) {
 TEST(Rng, ZipfIsHeavyHeaded) {
   RngStream rng(13);
   const int n = 100000;
+  const ZipfSampler zipf(10000, 1.2);
   int rank1 = 0, rank100plus = 0;
   for (int i = 0; i < n; ++i) {
-    const std::int64_t r = rng.next_zipf(10000, 1.2);
+    const std::int64_t r = zipf(rng);
     if (r == 1) ++rank1;
     if (r >= 100) ++rank100plus;
   }
@@ -133,7 +135,53 @@ TEST(Rng, ZipfIsHeavyHeaded) {
 
 TEST(Rng, ZipfSingleElement) {
   RngStream rng(1);
-  EXPECT_EQ(rng.next_zipf(1, 1.0), 1);
+  EXPECT_EQ(ZipfSampler(1, 1.0)(rng), 1);
+}
+
+// The per-call rejection-inversion formula (Hörmann & Derflinger), with
+// every (n, s) constant recomputed on each draw: the oracle for
+// ZipfSampler, which must draw the same ranks from the same stream.
+std::int64_t zipf_per_call(RngStream& rng, std::int64_t n, double s) {
+  if (n == 1) return 1;
+  const double nd = static_cast<double>(n);
+  auto h_integral = [s](double x) {
+    const double log_x = std::log(x);
+    if (std::fabs(1.0 - s) < 1e-12) return log_x;
+    return (std::exp((1.0 - s) * log_x) - 1.0) / (1.0 - s);
+  };
+  auto h = [s](double x) { return std::exp(-s * std::log(x)); };
+  const double h_int_x1 = h_integral(1.5) - 1.0;
+  const double h_int_n = h_integral(nd + 0.5);
+  for (;;) {
+    const double u = h_int_n + rng.next_double() * (h_int_x1 - h_int_n);
+    double x;
+    if (std::fabs(1.0 - s) < 1e-12) {
+      x = std::exp(u);
+    } else {
+      x = std::exp(std::log(1.0 + u * (1.0 - s)) / (1.0 - s));
+    }
+    const double k = std::floor(x + 0.5);
+    if (k < 1 || k > nd) continue;
+    if (k - x <= h_int_x1 || u >= h_integral(k + 0.5) - h(k)) {
+      return static_cast<std::int64_t>(k);
+    }
+  }
+}
+
+TEST(ZipfSampler, DrawsTheSameRanksAsThePerCallFormula) {
+  for (const std::int64_t n : {1, 2, 1000, 100000}) {
+    for (const double s : {0.5, 1.0, 1.1, 2.0}) {
+      const ZipfSampler zipf(n, s);
+      RngStream sampled(n * 31 + static_cast<std::int64_t>(s * 10), "zipf");
+      RngStream oracle = sampled;
+      for (int i = 0; i < 20000; ++i) {
+        ASSERT_EQ(zipf(sampled), zipf_per_call(oracle, n, s))
+            << "n=" << n << " s=" << s << " draw " << i;
+      }
+      // Rejections consumed the same draws too.
+      EXPECT_EQ(sampled.next_u64(), oracle.next_u64()) << "n=" << n << " s=" << s;
+    }
+  }
 }
 
 TEST(Rng, ForkIsDeterministic) {
