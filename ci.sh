@@ -102,7 +102,9 @@ echo "=== [release] determinism gate ==="
 # Golden traces and fuzzer reproducers live in the source tree and are
 # only ever rewritten under GOLDEN_UPDATE=1 / --shrink, which CI never
 # sets. After the full suite + benches + fuzz have run, any byte of
-# drift under these trees means determinism regressed. Each hot path
+# drift under these trees means determinism regressed; that includes
+# the SparkLite golden (wordcount_spark.trace, three reduce
+# partitions), which pins the comparison engine's shuffle. Each hot path
 # has one engine, held to a small independent oracle in ctest above:
 # sorted-scan references for the event queue and timer wheel,
 # from-scratch scans for the NodeTable, a candidate-vector scan for

@@ -1,5 +1,6 @@
 #include "exp/sim_core.h"
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -119,6 +120,22 @@ SimCoreResult best_of(RunFn run) {
   return best;
 }
 
+// Folds one simulation's engine counters, plus the shuffle counters of
+// a run that drove the fetch engine, into `result`: cancels and
+// shuffle counts add up across runs, heap and slab sizes keep the
+// peak.
+void add_counters(SimCoreResult& result, const sim::Simulation& sim,
+                  const mr::ShuffleStats& shuffle) {
+  const sim::EventQueue::Stats& queue = sim.queue_stats();
+  const sim::TimerWheel::Stats& wheel = sim.wheel_stats();
+  result.cancelled += queue.cancelled + wheel.cancelled;
+  result.heap_peak = std::max(result.heap_peak, queue.heap_peak);
+  result.slab_slots = std::max({result.slab_slots, queue.slab_capacity, wheel.slab_capacity});
+  result.fetches += shuffle.fetches;
+  result.coalesced_flows += shuffle.coalesced_flows;
+  result.partition_calls += shuffle.partition_calls;
+}
+
 }  // namespace
 
 SimCoreResult sim_core_event_churn(std::uint64_t events, std::size_t window) {
@@ -181,14 +198,7 @@ SimCoreResult run_cluster_scale(std::size_t nodes, double horizon_s) {
   // timer wheel — count dispatches, not just queue pops.
   result.events = world.simulation().processed_events();
   result.events_per_sec = static_cast<double>(result.events) / result.wall_seconds;
-  result.cancelled = world.simulation().queue_stats().cancelled +
-                     world.simulation().wheel_stats().cancelled;
-  result.heap_peak = world.simulation().queue_stats().heap_peak;
-  result.slab_slots = std::max(world.simulation().queue_stats().slab_capacity,
-                               world.simulation().wheel_stats().slab_capacity);
-  result.fetches = world.shuffle_stats().fetches;
-  result.coalesced_flows = world.shuffle_stats().coalesced_flows;
-  result.partition_calls = world.shuffle_stats().partition_calls;
+  add_counters(result, world.simulation(), world.shuffle_stats());
   return result;
 }
 
@@ -259,9 +269,7 @@ SimCoreResult run_placement_shuffle(std::size_t nodes, std::size_t iterations) {
   result.wall_seconds = seconds_since(start);
   result.events = policy.draws() + network.stats().replans;
   result.events_per_sec = static_cast<double>(result.events) / result.wall_seconds;
-  result.cancelled = sim.queue_stats().cancelled;
-  result.heap_peak = sim.queue_stats().heap_peak;
-  result.slab_slots = sim.queue_stats().slab_capacity;
+  add_counters(result, sim, mr::ShuffleStats{});
   return result;
 }
 
@@ -339,8 +347,7 @@ SimCoreResult run_job_scale(std::size_t nodes, int maps, int reducers) {
   mr::MRConfig config;
   mr::ShuffleStats stats;
   config.shuffle_stats = &stats;
-  auto killed = std::make_shared<bool>(false);
-  mr::TaskEnv env{sim, cluster, hdfs, config, killed};
+  mr::TaskEnv env{sim, cluster, hdfs, config, nullptr};
 
   // Fabricated map results: map m lives on node (m/2) % nodes — pairs
   // of maps share a source, so a reducer's batch feed has runs of two
@@ -371,10 +378,9 @@ SimCoreResult run_job_scale(std::size_t nodes, int maps, int reducers) {
   std::int64_t now_us = 0;
   for (int r = 0; r < reducers; ++r) {
     auto runner = std::make_unique<mr::ReduceRunner>(
-        env, spec, r, "/bench/job-scale/part-" + std::to_string(r),
-        static_cast<cluster::NodeId>(static_cast<std::size_t>(r) % nodes), maps,
+        env, spec, registry, r, "/bench/job-scale/part-" + std::to_string(r),
+        static_cast<cluster::NodeId>(static_cast<std::size_t>(r) % nodes),
         [&done](mr::TaskProfile, mr::ReduceOutcome) { ++done; });
-    runner->set_registry(&registry);
     runner->start();
     runner->on_map_outputs(results);
     runners.push_back(std::move(runner));
@@ -391,12 +397,7 @@ SimCoreResult run_job_scale(std::size_t nodes, int maps, int reducers) {
   // Every reducer fetches every map: M·R fetches.
   result.events = stats.fetches;
   result.events_per_sec = static_cast<double>(result.events) / result.wall_seconds;
-  result.cancelled = sim.queue_stats().cancelled;
-  result.heap_peak = sim.queue_stats().heap_peak;
-  result.slab_slots = sim.queue_stats().slab_capacity;
-  result.fetches = stats.fetches;
-  result.coalesced_flows = stats.coalesced_flows;
-  result.partition_calls = stats.partition_calls;
+  add_counters(result, sim, stats);
   return result;
 }
 
@@ -439,17 +440,10 @@ SimCoreResult sim_core_wordcount_sweep(bool smoke) {
     if (!run.has_value() || !run->succeeded) {
       throw TrialFailure("sim_core wordcount-sweep run failed");
     }
-    const sim::EventQueue::Stats& stats = world.simulation().queue_stats();
     // Heartbeats dispatch from the timer wheel, so count all
     // dispatches, not just queue pops.
     result.events += world.simulation().processed_events();
-    result.cancelled += stats.cancelled + world.simulation().wheel_stats().cancelled;
-    result.heap_peak = std::max(result.heap_peak, stats.heap_peak);
-    result.slab_slots = std::max({result.slab_slots, stats.slab_capacity,
-                                  world.simulation().wheel_stats().slab_capacity});
-    result.fetches += world.shuffle_stats().fetches;
-    result.coalesced_flows += world.shuffle_stats().coalesced_flows;
-    result.partition_calls += world.shuffle_stats().partition_calls;
+    add_counters(result, world.simulation(), world.shuffle_stats());
   }
   result.wall_seconds = seconds_since(start);
   result.events_per_sec = static_cast<double>(result.events) / result.wall_seconds;

@@ -1,9 +1,14 @@
 #pragma once
 
-// Base class for ApplicationMaster drivers. Concrete AMs: the
+// Base class for ApplicationMaster drivers, and the one copy of the
+// job-attempt core both flavours share: split computation, map
+// accounting into the profile, the partition-once shard registry,
+// reduce fan-in, successful completion and failure. Concrete AMs: the
 // distributed-mode MRAppMaster (per-task containers via the RM's
 // scheduler — baseline Hadoop and MRapid D+) and the Uber AM (all
-// tasks inside the AM container — baseline Uber and MRapid U+).
+// tasks inside the AM container — baseline Uber and MRapid U+). They
+// differ only in how tasks get a place to run; the flavour hooks below
+// carry the distributed AM's extra container/heartbeat steps.
 //
 // Lifetime: AMs are owned by shared_ptr and kept alive until the
 // simulation is torn down, so callbacks holding `this` stay valid even
@@ -16,6 +21,7 @@
 #include "cluster/cluster.h"
 #include "hdfs/hdfs.h"
 #include "mapreduce/job.h"
+#include "mapreduce/shuffle.h"
 #include "mapreduce/task_runner.h"
 #include "yarn/resource_manager.h"
 
@@ -37,7 +43,7 @@ class AmBase {
 
   // Terminate this attempt: sets the kill flag, releases containers,
   // unregisters from the RM. Idempotent.
-  virtual void kill();
+  void kill();
 
   // Terminate this attempt *without* unregistering the application:
   // the AM container died and the RM is re-executing the AM, so the
@@ -68,7 +74,41 @@ class AmBase {
     return TaskEnv{sim_, cluster_, hdfs_, config_,  killed_,
                    app_id_, profile_.submit_time.as_micros()};
   }
-  void complete(bool success, std::vector<std::shared_ptr<const void>> reduce_results);
+  bool stopped() const { return finished_ || *killed_; }
+
+  // The AM container is up: compute the splits and size every per-map
+  // and per-partition table, the shard registry included.
+  void begin_job(const yarn::Container& am_container);
+
+  // A map's result is final: partition its output once, count it into
+  // the profile, and keep it for reducers that start later. Returns
+  // the kept copy.
+  const MapTaskResult& accept_map(MapTaskResult result);
+
+  // Starts reducer `partition` on `node`, reading every accepted map
+  // so far. Attempts > 0 commit under an attempt-suffixed part name.
+  void start_reducer(int partition, cluster::NodeId node, int attempt,
+                     ReduceRunner::DoneCallback done,
+                     ReduceRunner::FetchFailedCallback fetch_failed = {});
+
+  // One reducer finished; the last one completes the job.
+  void on_reduce_done(int partition, const TaskProfile& profile, const ReduceOutcome& outcome);
+
+  // Successful end of the job (the reduce fan-in above, or the last
+  // map of a map-only job).
+  void succeed(std::vector<std::shared_ptr<const void>> reduce_results);
+
+  // A map exhausted its attempt budget: the job fails. Idempotent.
+  void fail();
+
+  // ---- flavour hooks (the distributed AM's container/heartbeat steps)
+  // The attempt ends early (kill, failure): stop asking for and give
+  // back task containers. Runs before the app is unregistered.
+  virtual void stop_tasks() {}
+  // Last steps before a successful completion is reported.
+  virtual void before_success() {}
+  // A failed job has been unregistered; runs before the client hears.
+  virtual void after_failure() {}
 
   cluster::Cluster& cluster_;
   hdfs::Hdfs& hdfs_;
@@ -83,8 +123,19 @@ class AmBase {
   bool finished_ = false;
   bool managed_by_pool_ = false;
   JobProfile profile_;
+  cluster::NodeId am_node_ = cluster::kInvalidNode;
   std::vector<InputSplit> splits_;
+  std::vector<int> attempts_;  // per map task, how many attempts started
   int completed_maps_ = 0;
+  // Every accepted map result, kept so reducers that launch late can
+  // still fetch every shard.
+  std::vector<MapTaskResult> map_results_;
+  // Partition-once shard registry shared by all reducer attempts.
+  // Declared before the runners that point into it.
+  std::unique_ptr<MapOutputRegistry> registry_;
+  std::vector<std::unique_ptr<ReduceRunner>> reduce_runners_;  // per partition
+  std::vector<ReduceOutcome> reduce_outcomes_;
+  int reducers_done_ = 0;
 };
 
 }  // namespace mrapid::mr

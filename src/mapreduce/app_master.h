@@ -17,7 +17,6 @@ class MRAppMaster : public AmBase {
   using AmBase::AmBase;
 
   void start(const yarn::Container& am_container) override;
-  void kill() override;
 
  private:
   void heartbeat();
@@ -25,11 +24,20 @@ class MRAppMaster : public AmBase {
   void run_map(const yarn::Container& container, std::size_t task_index);
   void on_map_done(const yarn::Container& container, MapTaskResult result);
   void on_map_failed(const yarn::Container& container, const MapTaskResult& result);
-  void fail_job();
   void maybe_request_reducers();
   void run_reduce(const yarn::Container& container, int partition);
-  void on_reduce_done(int partition, const TaskProfile& profile, const ReduceOutcome& outcome);
-  void finish_after_reduces();
+
+  // One container ask (plus its `*.scheduled` trace) for the next
+  // attempt of map `task` / attempt `attempt` of reducer `partition`.
+  void ask_for_map(std::size_t task);
+  void ask_for_reduce(int partition, int attempt);
+
+  // AmBase hooks: stop the heartbeat and give back live task
+  // containers (kill, failure); record the container spread
+  // (success); cancel the pool app's asks and trace the failure.
+  void stop_tasks() override;
+  void before_success() override;
+  void after_failure() override;
 
   // ---- fault recovery ----
   // A container disappeared with its node (or was killed): requeue the
@@ -44,10 +52,8 @@ class MRAppMaster : public AmBase {
   void requeue_map(std::size_t task);
   void requeue_reduce(int partition);
 
-  cluster::NodeId am_node_ = cluster::kInvalidNode;
   std::vector<yarn::Ask> asks_to_send_;
   std::unordered_map<yarn::AskId, std::size_t> ask_to_task_;
-  std::vector<int> attempts_;  // per task, how many attempts started
   // Results of attempts below this floor are stale (their container
   // was written off) and must be ignored when they straggle in.
   std::vector<int> min_valid_attempt_;
@@ -58,19 +64,10 @@ class MRAppMaster : public AmBase {
   std::unordered_map<yarn::ContainerId, std::size_t> container_to_map_;
   std::unordered_map<yarn::ContainerId, int> container_to_reduce_;
   std::unordered_map<cluster::NodeId, int> containers_per_node_;
-  // Every finished map result, retained so reducers that launch late
-  // can still fetch every shard.
-  std::vector<MapTaskResult> all_map_results_;
-  // Partition-once shard registry shared by all reducer attempts.
-  // Declared before the runners that point into it.
-  std::unique_ptr<MapOutputRegistry> registry_;
-  std::vector<std::unique_ptr<ReduceRunner>> reduce_runners_;  // per partition
   // Superseded reducer attempts, kept alive (cancelled) until teardown
   // because in-flight fluid transfers still reference them.
   std::vector<std::unique_ptr<ReduceRunner>> retired_runners_;
   std::vector<int> reduce_attempt_;  // per partition: current generation
-  std::vector<ReduceOutcome> reduce_outcomes_;
-  int reducers_done_ = 0;
   sim::EventId heartbeat_event_{};
   bool first_map_seen_ = false;
 };

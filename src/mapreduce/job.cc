@@ -37,4 +37,18 @@ int JobProfile::max_containers_on_one_node() const {
   return peak;
 }
 
+void JobProfile::count_map_locality(cluster::Locality locality, int delta) {
+  std::size_t& bucket = locality == cluster::Locality::kNodeLocal   ? node_local_maps
+                        : locality == cluster::Locality::kRackLocal ? rack_local_maps
+                                                                    : off_rack_maps;
+  bucket += static_cast<std::size_t>(delta);  // modular: -1 retracts one
+}
+
+sim::SimTime client_poll_time(sim::SimTime submit, sim::SimTime done, sim::SimDuration poll) {
+  const std::int64_t poll_us = poll.as_micros();
+  const std::int64_t elapsed_us = (done - submit).as_micros();
+  const std::int64_t aligned_us = ((elapsed_us + poll_us - 1) / poll_us) * poll_us;
+  return submit + sim::SimDuration::micros(aligned_us);
+}
+
 }  // namespace mrapid::mr

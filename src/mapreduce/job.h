@@ -237,7 +237,16 @@ struct JobProfile {
   double am_setup_seconds() const { return (am_ready_time - submit_time).as_seconds(); }
   double map_phase_seconds() const { return (maps_done - first_map_start).as_seconds(); }
   int max_containers_on_one_node() const;
+
+  // Adds `delta` (+1 for a counted map, -1 for a retracted one) to the
+  // locality bucket of a map that ran at `locality`.
+  void count_map_locality(cluster::Locality locality, int delta);
 };
+
+// When a client that polls job status every `poll` from `submit` first
+// sees a job that finished at `done`: the first poll tick at or after
+// `done` (`submit` itself when the job took no time).
+sim::SimTime client_poll_time(sim::SimTime submit, sim::SimTime done, sim::SimDuration poll);
 
 struct JobResult {
   bool succeeded = false;

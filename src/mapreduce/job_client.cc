@@ -93,10 +93,7 @@ std::shared_ptr<AmBase> JobClient::submit(const JobSpec& spec, ExecutionMode mod
     JobResult adjusted_result = result;
     adjusted_result.profile.am_restarts = sub->restarts;
     adjusted_result.profile.lost_containers += sub->lost_containers;
-    const std::int64_t poll_us = config_.client_poll.as_micros();
-    const std::int64_t elapsed_us = (sim_.now() - submit_time).as_micros();
-    const std::int64_t aligned_us = ((elapsed_us + poll_us - 1) / poll_us) * poll_us;
-    const sim::SimTime seen = submit_time + sim::SimDuration::micros(aligned_us);
+    const sim::SimTime seen = client_poll_time(submit_time, sim_.now(), config_.client_poll);
     sim_.schedule_at(seen, [seen, shared_cb, adjusted_result]() mutable {
       adjusted_result.profile.client_done_time = seen;
       (*shared_cb)(adjusted_result);

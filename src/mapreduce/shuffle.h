@@ -1,19 +1,21 @@
 #pragma once
 
-// Per-job map-output registry: the partition-once side of the shuffle
-// (docs/PERF.md, "Shuffle & job scale").
+// Per-job map-output registry: the one way a map outcome becomes
+// shards (docs/PERF.md, "Shuffle & job scale").
 //
 // JobLogic::partition_map_output builds all R shards of one map
 // outcome in one call. The registry makes that call exactly once per
-// map, when the AM announces the outcome, and hands every ReduceRunner
-// an indexed view of the resulting shard table: M partition calls of
-// O(R) work per job, O(1) per fetch.
+// map, when the job driver (an MR AM, or SparkLite's driver) announces
+// the finished map, and every reduce task reads its shard from the
+// resulting table: M partition calls of O(R) work per job, O(1) per
+// fetch. Reading a map nobody announced is a bug (asserted).
 //
 // partition_map_output is a pure function of the outcome, so each
 // shard equals the one a fresh per-fetch partition call would return;
 // tests/shuffle_test.cc holds the registry to that under fuzzed
 // outcomes.
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -30,8 +32,8 @@ struct ShuffleStats {
   std::uint64_t partition_calls = 0;  // JobLogic::partition_map_output invocations
 };
 
-// One registry per job attempt, shared by the AM and all its reduce
-// runners. Not thread-safe (the simulation is single-threaded).
+// One registry per job attempt, shared by the driver and all its
+// reduce tasks. Not thread-safe (the simulation is single-threaded).
 class MapOutputRegistry {
  public:
   // `spec` must outlive the registry; `stats` may be null.
@@ -49,11 +51,11 @@ class MapOutputRegistry {
     return present_[static_cast<std::size_t>(map_index)] != 0;
   }
 
-  // Shard for (map, partition). `outcome` is the fallback used to
-  // lazily announce a map nobody registered (direct drives without an
-  // AM); announced maps never touch it.
-  const MapOutcome& shard(int map_index, int partition, const MapOutcome& outcome) {
-    if (!announced(map_index)) announce(map_index, outcome);
+  int total_maps() const { return static_cast<int>(present_.size()); }
+
+  // Shard for (map, partition) of an announced map.
+  const MapOutcome& shard(int map_index, int partition) const {
+    assert(announced(map_index) && "shard of a map nobody announced");
     return shards_[static_cast<std::size_t>(map_index)].at(static_cast<std::size_t>(partition));
   }
 

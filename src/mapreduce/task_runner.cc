@@ -154,19 +154,20 @@ void run_map_task(const TaskEnv& env_in, const JobSpec& spec, const InputSplit& 
   });
 }
 
-ReduceRunner::ReduceRunner(const TaskEnv& env, const JobSpec& spec, int partition,
-                           std::string output_path, NodeId node, int total_maps,
-                           DoneCallback done, int attempt)
+ReduceRunner::ReduceRunner(const TaskEnv& env, const JobSpec& spec,
+                           const MapOutputRegistry& registry, int partition,
+                           std::string output_path, NodeId node, DoneCallback done,
+                           int attempt)
     : env_(env),
       spec_(spec),
+      registry_(registry),
       partition_(partition),
       output_path_(std::move(output_path)),
       node_(node),
-      total_maps_(total_maps),
       done_(std::move(done)),
       attempt_(attempt) {
-  outcomes_.resize(static_cast<std::size_t>(total_maps));
-  fetch_state_.resize(static_cast<std::size_t>(total_maps), FetchState::kNone);
+  outcomes_.resize(static_cast<std::size_t>(registry.total_maps()));
+  fetch_state_.resize(static_cast<std::size_t>(registry.total_maps()), FetchState::kNone);
   profile_.index = partition;
   profile_.attempt = attempt;
   profile_.node = node;
@@ -233,12 +234,7 @@ void ReduceRunner::fetch(const MapTaskResult& result) {
   // {this, slot, generation} leg captures fit std::function's
   // small-buffer storage), and network legs batched per consecutive
   // source so one dispatch's same-(src,dst) fetches share one flow.
-  if (registry_ == nullptr) {
-    own_registry_ =
-        std::make_unique<MapOutputRegistry>(spec_, total_maps_, env_.config.shuffle_stats);
-    registry_ = own_registry_.get();
-  }
-  const MapOutcome& shard = registry_->shard(index, partition_, result.outcome);
+  const MapOutcome& shard = registry_.shard(index, partition_);
   const Bytes bytes = shard.output_bytes;
   outcomes_[static_cast<std::size_t>(index)] = shard;
   MRAPID_TRACE_ATTEMPT(env_.sim, sim::TraceCategory::kShuffle, "shuffle.fetch", attempt_,
@@ -317,7 +313,7 @@ void ReduceRunner::finish_fetch(int index, Bytes bytes) {
 }
 
 void ReduceRunner::maybe_finish_shuffle() {
-  if (!started_ || fetched_ < total_maps_ || halted()) return;
+  if (!started_ || fetched_ < registry_.total_maps() || halted()) return;
   profile_.read_done = env_.sim.now();
   profile_.input_bytes = shuffled_bytes_;
   MRAPID_TRACE_ATTEMPT(env_.sim, sim::TraceCategory::kTask, "reduce.shuffle_done", attempt_,

@@ -1,14 +1,15 @@
 #pragma once
 
 // Phase-level task execution, shared by every AM flavour (distributed,
-// Uber, D+, U+). A map task walks Eq. 1's sub-phases — setup (charged
-// by container launch), read, map, spill, merge — and a reduce task
-// walks shuffle, merge, reduce, output write.
+// Uber, D+, U+); SparkLite's executors run the same map task. A map
+// task walks Eq. 1's sub-phases — setup (charged by container launch),
+// read, map, spill, merge — and a reduce task walks shuffle (shards
+// read from the job's MapOutputRegistry), merge, reduce, output write.
 //
 // Cancellation is cooperative: each phase boundary checks the shared
 // `killed` flag (set when the speculative framework terminates the
-// slower mode) and simply stops; in-flight fluid transfers drain
-// without side effects.
+// slower mode; null for drivers that are never killed) and simply
+// stops; in-flight fluid transfers drain without side effects.
 
 #include <functional>
 #include <memory>
@@ -62,10 +63,12 @@ void run_map_task(const TaskEnv& env, const JobSpec& spec, const InputSplit& spl
                   std::function<void(MapTaskResult)> done, int attempt = 0);
 
 // One reducer (partition) of a job. Feed map results as they finish;
-// the runner fetches each output's shard for its partition (disk read
-// at the source when the output is on disk, plus the network flow),
-// overlapping shuffle with the remaining map waves exactly as Hadoop
-// does, then merges, reduces, and writes its part file to HDFS.
+// the runner fetches each output's shard for its partition from the
+// job's MapOutputRegistry (disk read at the source when the output is
+// on disk, plus the network flow), overlapping shuffle with the
+// remaining map waves exactly as Hadoop does, then merges, reduces,
+// and writes its part file to HDFS. Every map result fed in must
+// already be announced in the registry.
 class ReduceRunner {
  public:
   using DoneCallback = std::function<void(TaskProfile, ReduceOutcome)>;
@@ -73,11 +76,14 @@ class ReduceRunner {
   // re-run that map and re-announce the fresh output.
   using FetchFailedCallback = std::function<void(int map_index)>;
 
-  // `attempt` > 0 marks a re-execution after the previous reducer
-  // attempt was lost with its container; trace events then carry an
-  // `attempt` argument (omitted at 0 to keep faultless traces stable).
-  ReduceRunner(const TaskEnv& env, const JobSpec& spec, int partition, std::string output_path,
-               cluster::NodeId node, int total_maps, DoneCallback done, int attempt = 0);
+  // `registry` (which also fixes the job's map count) must outlive the
+  // runner. `attempt` > 0 marks a re-execution after the previous
+  // reducer attempt was lost with its container; trace events then
+  // carry an `attempt` argument (omitted at 0 to keep faultless traces
+  // stable).
+  ReduceRunner(const TaskEnv& env, const JobSpec& spec, const MapOutputRegistry& registry,
+               int partition, std::string output_path, cluster::NodeId node, DoneCallback done,
+               int attempt = 0);
 
   // The reducer's container is up; shuffling may begin.
   void start();
@@ -92,11 +98,6 @@ class ReduceRunner {
   // runner; consecutive same-source network legs of the batch coalesce
   // into one aggregated flow.
   void on_map_outputs(std::span<const MapTaskResult> results);
-
-  // Share the AM's partition-once shard registry. When unset, the
-  // runner lazily builds its own private one (direct drives without
-  // an AM).
-  void set_registry(MapOutputRegistry* registry) { registry_ = registry; }
 
   void set_fetch_failed(FetchFailedCallback cb) { fetch_failed_ = std::move(cb); }
 
@@ -136,10 +137,10 @@ class ReduceRunner {
 
   TaskEnv env_;
   const JobSpec& spec_;
+  const MapOutputRegistry& registry_;
   int partition_;
   std::string output_path_;
   cluster::NodeId node_;
-  int total_maps_;
   DoneCallback done_;
   int attempt_ = 0;
   bool started_ = false;
@@ -153,8 +154,6 @@ class ReduceRunner {
   TaskProfile profile_;
 
   // ---- shuffle engine state ------------------------------------------
-  MapOutputRegistry* registry_ = nullptr;
-  std::unique_ptr<MapOutputRegistry> own_registry_;  // direct drives without an AM
   std::vector<FetchRecord> fetch_records_;
   std::vector<std::uint32_t> free_fetch_records_;
   // Net-leg batcher: consecutive same-source legs of one dispatch,

@@ -30,24 +30,13 @@ class UberAppMaster : public AmBase {
   void launch_map(std::size_t split_index);
   MapTaskOptions make_map_options();
   void on_map_done(MapTaskResult result);
-  void fail_job();
   void start_reduces();
-  void on_reduce_done(int partition, const TaskProfile& profile, const ReduceOutcome& outcome);
 
-  cluster::NodeId am_node_ = cluster::kInvalidNode;
   std::size_t next_split_ = 0;
   int running_maps_ = 0;
   bool dispatching_ = false;
-  std::vector<int> attempts_;
   Bytes cache_used_ = 0;
   int spilled_maps_ = 0;
-  std::vector<MapTaskResult> map_results_;
-  // Partition-once shard registry. Declared before the runners that
-  // point into it.
-  std::unique_ptr<MapOutputRegistry> registry_;
-  std::vector<std::unique_ptr<ReduceRunner>> reduce_runners_;
-  std::vector<ReduceOutcome> reduce_outcomes_;
-  int reducers_done_ = 0;
 };
 
 }  // namespace mrapid::mr

@@ -122,10 +122,8 @@ void MRapidFramework::notify_client(sim::SimTime submit_time, CompletionCallback
     return;
   }
   // Ablation: the client discovers completion at its next status poll.
-  const std::int64_t poll_us = client_.config().client_poll.as_micros();
-  const std::int64_t elapsed_us = (sim_.now() - submit_time).as_micros();
-  const std::int64_t aligned_us = ((elapsed_us + poll_us - 1) / poll_us) * poll_us;
-  const sim::SimTime seen = submit_time + sim::SimDuration::micros(aligned_us);
+  const sim::SimTime seen =
+      mr::client_poll_time(submit_time, sim_.now(), client_.config().client_poll);
   sim_.schedule_at(seen, [seen, cb = std::move(cb), result = std::move(result)]() mutable {
     result.profile.client_done_time = seen;
     cb(result);
@@ -245,87 +243,70 @@ std::vector<yarn::Container> MRapidFramework::active_am_containers() const {
 
 void MRapidFramework::submit_in_mode(const JobSpec& spec, ExecutionMode mode,
                                      CompletionCallback on_complete) {
-  const sim::SimTime submit_time = sim_.now();
   if (!options_.use_pool ||
       (mode == ExecutionMode::kHadoopDistributed || mode == ExecutionMode::kHadoopUber)) {
     // Baseline modes (and the no-pool ablation) use the standard path.
     client_.submit(spec, mode, std::move(on_complete));
     return;
   }
+  submit_via_proxy(spec, [this, spec, mode,
+                          on_complete = std::move(on_complete)](sim::SimTime submit_time) {
+    run_on_free_slot(spec, mode, submit_time, on_complete);
+  });
+}
+
+void MRapidFramework::submit(const JobSpec& spec, CompletionCallback on_complete) {
+  assert(options_.use_pool && "auto mode requires the AM pool");
+  submit_via_proxy(spec, [this, spec,
+                          on_complete = std::move(on_complete)](sim::SimTime submit_time) {
+    // Step 2: pre-decision from execution history.
+    const DecisionContext context = make_context(spec);
+    const auto pre = decision_maker_.pre_decide(spec.logic->signature(), context);
+    if (pre.has_value()) {
+      LOG_INFO("mrapid", "pre-decision for %s: %s (t_u=%.1fs t_d=%.1fs)", spec.name.c_str(),
+               mr::mode_name(pre->winner), pre->t_u, pre->t_d);
+      run_on_free_slot(spec, pre->winner, submit_time, on_complete);
+      return;
+    }
+    // Step 3: no clear answer -> speculative execution in both modes.
+    dispatch_or_queue(2, [this, spec, submit_time, on_complete] {
+      run_speculative(spec, submit_time, on_complete);
+    });
+  });
+}
+
+void MRapidFramework::submit_via_proxy(const JobSpec& spec,
+                                       std::function<void(sim::SimTime)> at_proxy) {
   // Step 1: job-id RPC + upload job files, then RPC the proxy.
-  sim_.schedule_after(rm_.config().rpc_latency, [this, spec, mode, submit_time,
-                                                 on_complete =
-                                                     std::move(on_complete)]() mutable {
+  const sim::SimTime submit_time = sim_.now();
+  sim_.schedule_after(rm_.config().rpc_latency, [this, spec, submit_time,
+                                                 at_proxy = std::move(at_proxy)]() mutable {
     const std::string staging =
         "/tmp/mrapid-staging/" + spec.name + "." + std::to_string(submit_time.as_micros());
-    client_.upload_job_files(staging, cluster_.master(), [this, spec, mode, submit_time,
-                                                          on_complete = std::move(
-                                                              on_complete)]() mutable {
-      sim_.schedule_after(options_.proxy_rpc, [this, spec, mode, submit_time,
-                                               on_complete =
-                                                   std::move(on_complete)]() mutable {
-        auto dispatch = [this, spec, mode, submit_time,
-                         on_complete = std::move(on_complete)]() mutable {
-          auto slot = pool_.acquire();
-          assert(slot.has_value());
-          run_on_slot(spec, mode, *slot, submit_time, std::move(on_complete), true);
-        };
-        if (waiting_jobs_.empty() && pool_.free_slots() >= 1) {
-          dispatch();
-        } else {
-          waiting_jobs_.push_back({1, std::move(dispatch)});
-        }
-      }, "mrapid:proxy-rpc");
+    client_.upload_job_files(staging, cluster_.master(), [this, submit_time,
+                                                          at_proxy = std::move(at_proxy)] {
+      sim_.schedule_after(options_.proxy_rpc,
+                          [submit_time, at_proxy] { at_proxy(submit_time); },
+                          "mrapid:proxy-rpc");
     });
   }, "mrapid:submit");
 }
 
-void MRapidFramework::submit(const JobSpec& spec, CompletionCallback on_complete) {
-  const sim::SimTime submit_time = sim_.now();
-  assert(options_.use_pool && "auto mode requires the AM pool");
-  sim_.schedule_after(rm_.config().rpc_latency, [this, spec, submit_time,
-                                                 on_complete =
-                                                     std::move(on_complete)]() mutable {
-    const std::string staging =
-        "/tmp/mrapid-staging/" + spec.name + "." + std::to_string(submit_time.as_micros());
-    client_.upload_job_files(staging, cluster_.master(), [this, spec, submit_time,
-                                                          on_complete = std::move(
-                                                              on_complete)]() mutable {
-      sim_.schedule_after(options_.proxy_rpc, [this, spec, submit_time,
-                                               on_complete =
-                                                   std::move(on_complete)]() mutable {
-        // Step 2: pre-decision from execution history.
-        const DecisionContext context = make_context(spec);
-        const auto pre = decision_maker_.pre_decide(spec.logic->signature(), context);
-        if (pre.has_value()) {
-          LOG_INFO("mrapid", "pre-decision for %s: %s (t_u=%.1fs t_d=%.1fs)",
-                   spec.name.c_str(), mr::mode_name(pre->winner), pre->t_u, pre->t_d);
-          auto dispatch = [this, spec, mode = pre->winner, submit_time,
-                           on_complete = std::move(on_complete)]() mutable {
-            auto slot = pool_.acquire();
-            assert(slot.has_value());
-            run_on_slot(spec, mode, *slot, submit_time, std::move(on_complete), true);
-          };
-          if (waiting_jobs_.empty() && pool_.free_slots() >= 1) {
-            dispatch();
-          } else {
-            waiting_jobs_.push_back({1, std::move(dispatch)});
-          }
-          return;
-        }
-        // Step 3: no clear answer -> speculative execution in both modes.
-        auto dispatch = [this, spec, submit_time,
-                         on_complete = std::move(on_complete)]() mutable {
-          run_speculative(spec, submit_time, std::move(on_complete));
-        };
-        if (waiting_jobs_.empty() && pool_.free_slots() >= 2) {
-          dispatch();
-        } else {
-          waiting_jobs_.push_back({2, std::move(dispatch)});
-        }
-      }, "mrapid:proxy-rpc");
-    });
-  }, "mrapid:submit");
+void MRapidFramework::run_on_free_slot(const JobSpec& spec, ExecutionMode mode,
+                                       sim::SimTime submit_time, CompletionCallback on_complete) {
+  dispatch_or_queue(1, [this, spec, mode, submit_time, on_complete]() mutable {
+    auto slot = pool_.acquire();
+    assert(slot.has_value());
+    run_on_slot(spec, mode, *slot, submit_time, std::move(on_complete), true);
+  });
+}
+
+void MRapidFramework::dispatch_or_queue(int slots_needed, std::function<void()> run) {
+  if (waiting_jobs_.empty() && pool_.free_slots() >= slots_needed) {
+    run();
+  } else {
+    waiting_jobs_.push_back({slots_needed, std::move(run)});
+  }
 }
 
 void MRapidFramework::run_speculative(const JobSpec& spec, sim::SimTime submit_time,

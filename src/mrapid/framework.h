@@ -96,6 +96,16 @@ class MRapidFramework {
     bool record_winner = true;
   };
 
+  // Steps 1-2 of the MRapid path, shared by both submit flavours: the
+  // job-id RPC, the jar/conf upload, then the proxy RPC; `at_proxy`
+  // runs once the proxy holds the job, with the job's submit time.
+  void submit_via_proxy(const mr::JobSpec& spec, std::function<void(sim::SimTime)> at_proxy);
+  // Runs `run` now if the pool has `slots_needed` free slots and no job
+  // is queued ahead, else queues it (strict FIFO, see pump_queue).
+  void dispatch_or_queue(int slots_needed, std::function<void()> run);
+  // One pinned-mode job on the next free pool slot.
+  void run_on_free_slot(const mr::JobSpec& spec, mr::ExecutionMode mode, sim::SimTime submit_time,
+                        CompletionCallback on_complete);
   void run_on_slot(const mr::JobSpec& spec, mr::ExecutionMode mode, const AmPool::Slot& slot,
                    sim::SimTime submit_time, CompletionCallback on_complete, bool record_winner,
                    int resubmits = 0);

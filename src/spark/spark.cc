@@ -21,8 +21,7 @@ SparkApp::SparkApp(cluster::Cluster& cluster, hdfs::Hdfs& hdfs, yarn::ResourceMa
       mr_config_(mr_config),
       config_(config),
       spec_(std::move(spec)),
-      on_complete_(std::move(on_complete)),
-      killed_(std::make_shared<bool>(false)) {
+      on_complete_(std::move(on_complete)) {
   profile_.job_name = spec_.name;
   profile_.mode = mr::ExecutionMode::kSparkLite;
 }
@@ -53,6 +52,8 @@ void SparkApp::on_driver_ready(const yarn::Container& container) {
     splits_ = mr::compute_splits(hdfs_, spec_.input_paths);
     profile_.maps.resize(splits_.size());
     for (const auto& split : splits_) profile_.total_input += split.length;
+    registry_ = std::make_unique<mr::MapOutputRegistry>(
+        spec_, static_cast<int>(splits_.size()), mr_config_.shuffle_stats);
 
     // Request every executor container up front.
     for (int i = 0; i < config_.executors; ++i) {
@@ -67,7 +68,6 @@ void SparkApp::on_driver_ready(const yarn::Container& container) {
 }
 
 void SparkApp::driver_heartbeat() {
-  if (*killed_) return;
   std::vector<yarn::Ask> asks;
   asks.swap(asks_to_send_);
   for (const auto& allocation : rm_.am_allocate(app_id_, std::move(asks))) {
@@ -84,7 +84,6 @@ void SparkApp::driver_heartbeat() {
 }
 
 void SparkApp::on_executor_up(const yarn::Container& container) {
-  if (*killed_) return;
   Executor executor;
   executor.container = container;
   executor.free_slots = config_.cores_per_executor;
@@ -108,7 +107,7 @@ void SparkApp::maybe_start_map_stage() {
     if (!registration_deadline_armed_) {
       registration_deadline_armed_ = true;
       sim_.schedule_after(config_.max_registered_wait, [this] {
-        if (map_stage_started_ || *killed_ || executors_.empty()) return;
+        if (map_stage_started_ || executors_.empty()) return;
         LOG_WARN("spark", "starting with %zu/%d executors after registration timeout",
                  executors_.size(), config_.executors);
         map_stage_started_ = true;
@@ -124,7 +123,7 @@ void SparkApp::maybe_start_map_stage() {
 }
 
 void SparkApp::pump_map_tasks() {
-  if (!map_stage_started_ || *killed_) return;
+  if (!map_stage_started_) return;
   while (next_split_ < splits_.size()) {
     // Prefer an executor co-located with a replica of the next split;
     // otherwise any free slot (Spark's locality wait is milliseconds
@@ -151,10 +150,9 @@ void SparkApp::run_map_task_on(Executor& executor, std::size_t split_index) {
   // Task dispatch is an RPC, then the standard read+compute pipeline —
   // but with NO spill: results stay in executor memory (the RDD cache).
   sim_.schedule_after(config_.task_dispatch, [this, &executor, split_index] {
-    if (*killed_) return;
     mr::MapTaskOptions options;
     options.spill_decider = [](Bytes) { return false; };  // in-memory RDD
-    mr::TaskEnv env{sim_, cluster_, hdfs_, mr_config_, killed_};
+    mr::TaskEnv env{sim_, cluster_, hdfs_, mr_config_, nullptr};
     run_map_task(env, spec_, splits_[split_index], executor.container.node, options,
                  [this, &executor](mr::MapTaskResult result) {
                    on_map_task_done(executor, std::move(result));
@@ -163,16 +161,13 @@ void SparkApp::run_map_task_on(Executor& executor, std::size_t split_index) {
 }
 
 void SparkApp::on_map_task_done(Executor& executor, mr::MapTaskResult result) {
-  if (*killed_) return;
   ++executor.free_slots;
   ++completed_maps_;
   profile_.maps[static_cast<std::size_t>(result.profile.index)] = result.profile;
   profile_.total_map_output += result.outcome.output_bytes;
-  switch (result.profile.locality) {
-    case cluster::Locality::kNodeLocal: ++profile_.node_local_maps; break;
-    case cluster::Locality::kRackLocal: ++profile_.rack_local_maps; break;
-    case cluster::Locality::kAny: ++profile_.off_rack_maps; break;
-  }
+  profile_.count_map_locality(result.profile.locality, +1);
+  // Partition once, as the map finishes; the reduce tasks read shards.
+  registry_->announce(result.profile.index, result.outcome);
   map_results_.push_back(std::move(result));
   if (completed_maps_ == static_cast<int>(splits_.size())) {
     profile_.maps_done = sim_.now();
@@ -195,7 +190,6 @@ void SparkApp::start_reduce_stage() {
 }
 
 void SparkApp::run_reduce_task(Executor& executor, int partition) {
-  const int reducers = std::max(1, spec_.num_reducers);
   const NodeId dst = executor.container.node;
   auto profile = std::make_shared<mr::TaskProfile>();
   profile->index = partition;
@@ -212,14 +206,12 @@ void SparkApp::run_reduce_task(Executor& executor, int partition) {
         cluster::Node::cpu_work(sim::SimDuration::seconds(outcome.core_seconds));
     cluster_.node(dst).cpu().start(work, spec_.logic->compute_contention(),
                                    [this, profile, outcome, partition](sim::SimDuration) {
-      if (*killed_) return;
       profile->compute_done = sim_.now();
       profile->output_bytes = outcome.output_bytes;
       char part[32];
       std::snprintf(part, sizeof(part), "/part-%05d", partition);
       hdfs_.write_file(spec_.output_path + part, outcome.output_bytes, profile->node,
                        [this, profile, outcome, partition] {
-                         if (*killed_) return;
                          profile->end = sim_.now();
                          profile_.reduces[static_cast<std::size_t>(partition)] = *profile;
                          reduce_outcomes_[static_cast<std::size_t>(partition)] = outcome;
@@ -234,9 +226,7 @@ void SparkApp::run_reduce_task(Executor& executor, int partition) {
   }
   for (std::size_t m = 0; m < map_results_.size(); ++m) {
     const auto& result = map_results_[m];
-    mr::MapOutcome shard =
-        spec_.logic->partition_map_output(result.outcome, reducers)
-            .at(static_cast<std::size_t>(partition));
+    const mr::MapOutcome& shard = registry_->shard(result.profile.index, partition);
     (*outcomes)[m] = shard;
     shuffled_per_partition_[static_cast<std::size_t>(partition)] += shard.output_bytes;
     cluster_.network().start_flow(result.profile.node, dst, shard.output_bytes,

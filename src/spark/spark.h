@@ -15,7 +15,11 @@
 //     the shuffle is memory-to-memory over the network.
 //
 // It executes the same JobLogic as the MapReduce runtime, so results
-// are bit-identical and directly comparable.
+// are bit-identical and directly comparable, and it shards map output
+// the same way: each finished map is announced once into a
+// mr::MapOutputRegistry, and every reduce task reads its shards from
+// there. SparkLite jobs are never killed mid-run (no speculative race
+// drives them), so their tasks run with no kill flag.
 
 #include <functional>
 #include <memory>
@@ -24,6 +28,7 @@
 #include "cluster/cluster.h"
 #include "hdfs/hdfs.h"
 #include "mapreduce/job.h"
+#include "mapreduce/shuffle.h"
 #include "mapreduce/task_runner.h"
 #include "yarn/resource_manager.h"
 
@@ -89,7 +94,6 @@ class SparkApp {
   SparkConfig config_;
   mr::JobSpec spec_;
   CompletionCallback on_complete_;
-  std::shared_ptr<bool> killed_;
 
   yarn::AppId app_id_ = yarn::kInvalidApp;
   yarn::Container driver_container_;
@@ -102,7 +106,8 @@ class SparkApp {
   int completed_maps_ = 0;
   bool map_stage_started_ = false;
   bool registration_deadline_armed_ = false;
-  std::vector<mr::MapTaskResult> map_results_;
+  std::vector<mr::MapTaskResult> map_results_;  // in completion order
+  std::unique_ptr<mr::MapOutputRegistry> registry_;
   int reducers_done_ = 0;
   std::vector<mr::ReduceOutcome> reduce_outcomes_;
   std::vector<Bytes> shuffled_per_partition_;

@@ -194,6 +194,28 @@ TEST(GoldenTrace, WordCountEasyBackfillPolicy) {
                     golden_path("wordcount_easybackfill"));
 }
 
+// SparkLite golden: the same wordcount through the comparison engine
+// with three reduce partitions, so every map output is split across
+// several reduce tasks. Pins the executor-side task phases and HDFS
+// traffic byte for byte.
+TEST(GoldenTrace, WordCountSparkLite) {
+  auto workload = make_workload("wordcount");
+  harness::WorldConfig config;
+
+  harness::World world(config, RunMode::kSpark);
+  sim::Tracer tracer(sim::kTraceGolden);
+  world.attach_tracer(tracer);
+  auto result = world.run(*workload, [](mr::JobSpec& spec) { spec.num_reducers = 3; });
+  ASSERT_TRUE(result.has_value());
+  ASSERT_TRUE(result->succeeded);
+  ASSERT_EQ(result->reduce_results.size(), 3u);
+
+  const auto violations = sim::check_trace(tracer.events());
+  ASSERT_TRUE(violations.empty()) << sim::violations_to_string(violations);
+
+  compare_or_update(sim::canonical_text(tracer.events()), golden_path("wordcount_spark"));
+}
+
 // Same seed, two fresh worlds: the recorded traces must be
 // byte-identical — the foundation the golden files stand on.
 TEST(GoldenTrace, SameSeedGivesByteIdenticalTrace) {

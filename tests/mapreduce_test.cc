@@ -124,6 +124,21 @@ TEST(SpillCount, ThresholdBoundaryIsExact) {
   EXPECT_EQ(spill_count(threshold + 1, MRConfig{}), 2);
 }
 
+// The client sees completion at its first status poll at or after the
+// job's end, the poll clock starting at submission.
+TEST(ClientPollTime, AlignsUpToThePollGrid) {
+  const sim::SimTime submit = sim::SimTime::from_micros(2'500'000);
+  const sim::SimDuration poll = sim::SimDuration::seconds(1.0);
+  // No time elapsed: the submission instant is itself a poll tick.
+  EXPECT_EQ(client_poll_time(submit, submit, poll).as_micros(), 2'500'000);
+  // An exact multiple of the poll period is seen on that tick.
+  EXPECT_EQ(client_poll_time(submit, submit + sim::SimDuration::seconds(3.0), poll).as_micros(),
+            5'500'000);
+  // One microsecond past a multiple waits for the next tick.
+  EXPECT_EQ(client_poll_time(submit, sim::SimTime::from_micros(5'500'001), poll).as_micros(),
+            6'500'000);
+}
+
 // ---- end-to-end per mode -------------------------------------------------
 
 class JobRunTest : public ::testing::Test {

@@ -4,10 +4,8 @@
 // partition-call count through a real job, and the fetch-engine edge
 // cases — zero-map jobs, all-zero shards, the same-node in-memory
 // path, and fetch re-announcement after a source-node crash
-// mid-shuffle. Each edge case runs at both registry corners: a
-// registry the driver announces up front (as an AM does) and one the
-// runner builds lazily from the fetched outcomes (a direct drive); the
-// full traces must match byte for byte.
+// mid-shuffle — each driven straight at a ReduceRunner over a registry
+// announced up front, as a job driver does.
 
 #include <gtest/gtest.h>
 
@@ -89,47 +87,46 @@ mr::MapTaskResult make_result(int index, cluster::NodeId node, Bytes bytes,
 }
 
 // A minimal fetch-engine drive: one simulation, a small cluster, and
-// hand-fabricated map results fed straight to a ReduceRunner — each
-// edge-case scenario runs once per registry corner and the full trace
-// must match byte for byte.
+// hand-fabricated map results fed straight to a ReduceRunner over a
+// registry of `maps` maps.
 struct DirectDrive {
-  DirectDrive(const mr::JobLogic& logic, bool announced, int reducers)
+  DirectDrive(const mr::JobLogic& logic, int reducers, int maps)
       : cluster(sim, cluster::ClusterConfig::uniform(8, 2, cluster::azure_a3())),
         hdfs(cluster, hdfs::HdfsConfig{}),
-        killed(std::make_shared<bool>(false)) {
+        spec(make_spec(logic, reducers)),
+        registry(spec, maps, &stats) {
     sim.set_tracer(&tracer);
+    config.shuffle_stats = &stats;
+  }
+
+  static mr::JobSpec make_spec(const mr::JobLogic& logic, int reducers) {
+    mr::JobSpec spec;
     spec.name = "drive";
     spec.logic = &logic;
     spec.num_reducers = reducers;
-    config.shuffle_stats = &stats;
-    if (announced) registry = std::make_unique<mr::MapOutputRegistry>(spec, kMaxMaps, &stats);
+    return spec;
   }
 
-  // Announced corner: partition `results` into the shared registry and
-  // hand it to `runner`, as an AM does. Lazy corner: nothing; the
-  // runner partitions each outcome on its first fetch.
-  void announce(mr::ReduceRunner& runner, std::span<const mr::MapTaskResult> results) {
-    if (!registry) return;
+  // Partition every result into the registry, as a job driver does
+  // when its maps finish.
+  void announce(std::span<const mr::MapTaskResult> results) {
     for (const mr::MapTaskResult& result : results) {
-      registry->announce(result.profile.index, result.outcome);
+      registry.announce(result.profile.index, result.outcome);
     }
-    runner.set_registry(registry.get());
   }
 
-  mr::TaskEnv env() { return {sim, cluster, hdfs, config, killed}; }
+  mr::TaskEnv env() { return {sim, cluster, hdfs, config, nullptr}; }
   void drain() { sim.run_until(sim::SimTime::from_micros(600'000'000)); }
   std::string trace() const { return sim::canonical_text(tracer.events()); }
 
-  sim::Tracer tracer;  // full mask: equivalence is checked on everything
+  sim::Tracer tracer;  // full mask
   sim::Simulation sim{7};
   cluster::Cluster cluster;
   hdfs::Hdfs hdfs;
   mr::MRConfig config;
   mr::ShuffleStats stats;
   mr::JobSpec spec;
-  std::shared_ptr<bool> killed;
-  static constexpr int kMaxMaps = 8;
-  std::unique_ptr<mr::MapOutputRegistry> registry;
+  mr::MapOutputRegistry registry;
 };
 
 TEST(MapOutputRegistry, PartitionsOnceAndServesEveryPartition) {
@@ -149,13 +146,13 @@ TEST(MapOutputRegistry, PartitionsOnceAndServesEveryPartition) {
   EXPECT_EQ(stats.partition_calls, 1u);
 
   Bytes total = 0;
-  for (int p = 0; p < 4; ++p) total += registry.shard(0, p, outcome).output_bytes;
+  for (int p = 0; p < 4; ++p) total += registry.shard(0, p).output_bytes;
   EXPECT_EQ(total, 4_KB);
   // Every shard() hit was served from the one announce-time partition.
   EXPECT_EQ(stats.partition_calls, 1u);
 }
 
-TEST(MapOutputRegistry, LazyAnnounceAndInvalidate) {
+TEST(MapOutputRegistry, InvalidateAndReannounce) {
   HashLogic logic;
   mr::JobSpec spec;
   spec.logic = &logic;
@@ -163,16 +160,11 @@ TEST(MapOutputRegistry, LazyAnnounceAndInvalidate) {
   mr::ShuffleStats stats;
   mr::MapOutputRegistry registry(spec, /*total_maps=*/1, &stats);
 
-  // Nobody announced map 0: shard() lazily announces from the fallback
-  // outcome (the AM-less direct-drive case).
   mr::MapOutcome first;
   first.output_bytes = 2_KB;
   first.output_records = 32;
-  const Bytes lazy = registry.shard(0, 0, first).output_bytes +
-                     registry.shard(0, 1, first).output_bytes;
-  EXPECT_EQ(lazy, 2_KB);
-  EXPECT_TRUE(registry.announced(0));
-  EXPECT_EQ(stats.partition_calls, 1u);
+  registry.announce(0, first);
+  EXPECT_EQ(registry.shard(0, 0).output_bytes + registry.shard(0, 1).output_bytes, 2_KB);
 
   // Lost with its node: shards drop until the re-run announces.
   registry.invalidate(0);
@@ -183,10 +175,9 @@ TEST(MapOutputRegistry, LazyAnnounceAndInvalidate) {
   second.output_bytes = 6_KB;
   second.output_records = 96;
   registry.announce(0, second);
+  EXPECT_TRUE(registry.announced(0));
   EXPECT_EQ(stats.partition_calls, 2u);
-  EXPECT_EQ(registry.shard(0, 0, first).output_bytes +
-                registry.shard(0, 1, first).output_bytes,
-            6_KB);
+  EXPECT_EQ(registry.shard(0, 0).output_bytes + registry.shard(0, 1).output_bytes, 6_KB);
 }
 
 // The shard-equivalence oracle under fuzzed outcomes: for random
@@ -213,7 +204,7 @@ TEST(MapOutputRegistry, FuzzedShardEquivalenceWithPerFetchPartition) {
       const auto expected = logic.partition_map_output(outcome, reducers);
       ASSERT_EQ(expected.size(), static_cast<std::size_t>(reducers));
       for (int p = 0; p < reducers; ++p) {
-        const mr::MapOutcome& shard = registry.shard(m, p, outcome);
+        const mr::MapOutcome& shard = registry.shard(m, p);
         const mr::MapOutcome& want = expected[static_cast<std::size_t>(p)];
         ASSERT_EQ(shard.output_bytes, want.output_bytes) << "iter " << iter;
         ASSERT_EQ(shard.output_records, want.output_records) << "iter " << iter;
@@ -243,114 +234,93 @@ TEST(ShuffleCounters, PartitionCallCountsAreOncePerMapUnderFastShuffle) {
   EXPECT_EQ(stats.fetches, maps * 3);
 }
 
-TEST(ShuffleEdgeCases, ZeroMapJobReducesImmediatelyOnBothCorners) {
-  auto run = [](bool announced) {
-    HashLogic logic;
-    DirectDrive d(logic, announced, /*reducers=*/1);
-    bool done = false;
-    mr::ReduceRunner runner(d.env(), d.spec, 0, "/out/zero-maps", 1, /*total_maps=*/0,
-                            [&done](mr::TaskProfile, mr::ReduceOutcome) { done = true; });
-    d.announce(runner, {});
-    runner.start();
-    d.drain();
-    EXPECT_TRUE(done);
-    return d.trace();
-  };
-  const std::string announced = run(true);
-  ASSERT_FALSE(announced.empty());
-  EXPECT_EQ(announced, run(false));
+TEST(ShuffleEdgeCases, ZeroMapJobReducesImmediately) {
+  HashLogic logic;
+  DirectDrive d(logic, /*reducers=*/1, /*maps=*/0);
+  bool done = false;
+  mr::ReduceRunner runner(d.env(), d.spec, d.registry, 0, "/out/zero-maps", 1,
+                          [&done](mr::TaskProfile, mr::ReduceOutcome) { done = true; });
+  runner.start();
+  d.drain();
+  EXPECT_TRUE(done);
+  EXPECT_FALSE(d.trace().empty());
 }
 
-TEST(ShuffleEdgeCases, AllZeroByteShardsFetchLocallyOnBothCorners) {
-  auto run = [](bool announced) {
-    ToReducerZeroLogic logic;
-    DirectDrive d(logic, announced, /*reducers=*/2);
-    std::vector<mr::MapTaskResult> results;
-    for (int m = 0; m < 4; ++m) {
-      results.push_back(make_result(m, static_cast<cluster::NodeId>(2 + m), 8_KB, 64, false));
-    }
-    bool done = false;
-    // Partition 1 of an everything-to-reducer-0 job: every shard is
-    // zero bytes, so no disk or network leg may start.
-    mr::ReduceRunner runner(d.env(), d.spec, 1, "/out/zero-bytes", 1, /*total_maps=*/4,
-                            [&done](mr::TaskProfile, mr::ReduceOutcome) { done = true; });
-    d.announce(runner, results);
-    runner.start();
-    const std::uint64_t flows_before = d.cluster.network().stats().flows_started;
-    runner.on_map_outputs(results);
-    EXPECT_EQ(d.cluster.network().stats().flows_started, flows_before);
-    d.drain();
-    EXPECT_TRUE(done);
-    return d.trace();
-  };
-  const std::string announced = run(true);
-  ASSERT_FALSE(announced.empty());
-  EXPECT_EQ(announced, run(false));
+TEST(ShuffleEdgeCases, AllZeroByteShardsFetchLocally) {
+  ToReducerZeroLogic logic;
+  DirectDrive d(logic, /*reducers=*/2, /*maps=*/4);
+  std::vector<mr::MapTaskResult> results;
+  for (int m = 0; m < 4; ++m) {
+    results.push_back(make_result(m, static_cast<cluster::NodeId>(2 + m), 8_KB, 64, false));
+  }
+  d.announce(results);
+  bool done = false;
+  // Partition 1 of an everything-to-reducer-0 job: every shard is
+  // zero bytes, so no disk or network leg may start.
+  mr::ReduceRunner runner(d.env(), d.spec, d.registry, 1, "/out/zero-bytes", 1,
+                          [&done](mr::TaskProfile, mr::ReduceOutcome) { done = true; });
+  runner.start();
+  const std::uint64_t flows_before = d.cluster.network().stats().flows_started;
+  runner.on_map_outputs(results);
+  EXPECT_EQ(d.cluster.network().stats().flows_started, flows_before);
+  d.drain();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(runner.shuffled_bytes(), 0);
 }
 
-TEST(ShuffleEdgeCases, AllMapsOnReducerNodeInMemorySkipNetworkOnBothCorners) {
-  auto run = [](bool announced) {
-    ToReducerZeroLogic logic;
-    DirectDrive d(logic, announced, /*reducers=*/1);
-    std::vector<mr::MapTaskResult> results;
-    for (int m = 0; m < 4; ++m) {
-      // Non-zero output cached in the consuming JVM's memory on the
-      // reducer's own node (the U+ single-container shape).
-      results.push_back(make_result(m, /*node=*/2, 8_KB, 64, /*in_memory=*/true));
-    }
-    bool done = false;
-    mr::ReduceRunner runner(d.env(), d.spec, 0, "/out/in-memory", /*node=*/2, /*total_maps=*/4,
-                            [&done](mr::TaskProfile, mr::ReduceOutcome) { done = true; });
-    d.announce(runner, results);
-    runner.start();
-    const std::uint64_t flows_before = d.cluster.network().stats().flows_started;
-    runner.on_map_outputs(results);
-    EXPECT_EQ(d.cluster.network().stats().flows_started, flows_before);
-    d.drain();
-    EXPECT_TRUE(done);
-    return d.trace();
-  };
-  const std::string announced = run(true);
-  ASSERT_FALSE(announced.empty());
-  EXPECT_EQ(announced, run(false));
+TEST(ShuffleEdgeCases, AllMapsOnReducerNodeInMemorySkipNetwork) {
+  ToReducerZeroLogic logic;
+  DirectDrive d(logic, /*reducers=*/1, /*maps=*/4);
+  std::vector<mr::MapTaskResult> results;
+  for (int m = 0; m < 4; ++m) {
+    // Non-zero output cached in the consuming JVM's memory on the
+    // reducer's own node (the U+ single-container shape).
+    results.push_back(make_result(m, /*node=*/2, 8_KB, 64, /*in_memory=*/true));
+  }
+  d.announce(results);
+  bool done = false;
+  mr::ReduceRunner runner(d.env(), d.spec, d.registry, 0, "/out/in-memory", /*node=*/2,
+                          [&done](mr::TaskProfile, mr::ReduceOutcome) { done = true; });
+  runner.start();
+  const std::uint64_t flows_before = d.cluster.network().stats().flows_started;
+  runner.on_map_outputs(results);
+  EXPECT_EQ(d.cluster.network().stats().flows_started, flows_before);
+  d.drain();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(runner.shuffled_bytes(), 4 * 8_KB);
 }
 
-TEST(ShuffleEdgeCases, SourceCrashMidShuffleReannouncesOnBothCorners) {
-  auto run = [](bool announced) {
-    HashLogic logic;
-    DirectDrive d(logic, announced, /*reducers=*/1);
-    std::vector<mr::MapTaskResult> results;
-    for (int m = 0; m < 4; ++m) {
-      results.push_back(
-          make_result(m, static_cast<cluster::NodeId>(m == 0 ? 3 : 4), 8_KB, 64, false));
-    }
-    bool done = false;
-    mr::ReduceRunner runner(d.env(), d.spec, 0, "/out/crash", 1, /*total_maps=*/4,
-                            [&done](mr::TaskProfile, mr::ReduceOutcome) { done = true; });
-    // The re-run lands on a live node; the fetch slot the failure left
-    // open must accept the re-announcement.
-    mr::MapTaskResult rerun = results[0];
-    rerun.profile.node = 5;
-    int failed_index = -1;
-    runner.set_fetch_failed([&](int map_index) {
-      failed_index = map_index;
-      runner.on_map_output(rerun);
-    });
-    d.announce(runner, results);
-    runner.start();
-    // Maps 1..3 shuffle normally; then map 0's source dies before its
-    // output moved.
-    runner.on_map_outputs(std::span<const mr::MapTaskResult>(results.data() + 1, 3));
-    d.cluster.node(3).set_down(true);
-    runner.on_map_output(results[0]);
-    d.drain();
-    EXPECT_TRUE(done);
-    EXPECT_EQ(failed_index, 0);
-    return d.trace();
-  };
-  const std::string announced = run(true);
-  ASSERT_FALSE(announced.empty());
-  EXPECT_EQ(announced, run(false));
+TEST(ShuffleEdgeCases, SourceCrashMidShuffleReannounces) {
+  HashLogic logic;
+  DirectDrive d(logic, /*reducers=*/1, /*maps=*/4);
+  std::vector<mr::MapTaskResult> results;
+  for (int m = 0; m < 4; ++m) {
+    results.push_back(
+        make_result(m, static_cast<cluster::NodeId>(m == 0 ? 3 : 4), 8_KB, 64, false));
+  }
+  d.announce(results);
+  bool done = false;
+  mr::ReduceRunner runner(d.env(), d.spec, d.registry, 0, "/out/crash", 1,
+                          [&done](mr::TaskProfile, mr::ReduceOutcome) { done = true; });
+  // The re-run lands on a live node; the fetch slot the failure left
+  // open must accept the re-announcement.
+  mr::MapTaskResult rerun = results[0];
+  rerun.profile.node = 5;
+  int failed_index = -1;
+  runner.set_fetch_failed([&](int map_index) {
+    failed_index = map_index;
+    runner.on_map_output(rerun);
+  });
+  runner.start();
+  // Maps 1..3 shuffle normally; then map 0's source dies before its
+  // output moved.
+  runner.on_map_outputs(std::span<const mr::MapTaskResult>(results.data() + 1, 3));
+  d.cluster.node(3).set_down(true);
+  runner.on_map_output(results[0]);
+  d.drain();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(failed_index, 0);
+  EXPECT_EQ(d.stats.fetches, 4u);
 }
 
 }  // namespace

@@ -161,6 +161,34 @@ TEST(Spark, RegistrationTimeoutStartsWithFewerExecutors) {
   EXPECT_EQ(*wl::WordCount::result_of(*result), wc.reference_counts());
 }
 
+// WordCount with a partition-call counter: SparkLite must partition
+// each map output once, when the map finishes, however many reduce
+// tasks read its shards.
+class CountingWordCount final : public wl::WordCount {
+ public:
+  using wl::WordCount::WordCount;
+  std::vector<mr::MapOutcome> partition_map_output(const mr::MapOutcome& outcome,
+                                                   int reducers) const override {
+    ++partition_calls;
+    return wl::WordCount::partition_map_output(outcome, reducers);
+  }
+  mutable std::size_t partition_calls = 0;
+};
+
+TEST(Spark, PartitionsEachMapOutputOnce) {
+  wl::WordCountParams params;
+  params.num_files = 4;
+  params.bytes_per_file = 512_KB;
+  CountingWordCount wc(params);
+  WorldConfig config;
+  harness::World world(config, RunMode::kSpark);
+  auto result = world.run(wc, [](mr::JobSpec& spec) { spec.num_reducers = 3; });
+  ASSERT_TRUE(result.has_value() && result->succeeded);
+  const std::size_t maps = result->profile.maps.size();
+  ASSERT_GT(maps, 1u);
+  EXPECT_EQ(wc.partition_calls, maps);
+}
+
 TEST(Spark, Deterministic) {
   wl::WordCountParams params;
   params.num_files = 4;
