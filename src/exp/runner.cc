@@ -81,6 +81,7 @@ double elapsed_or_throw(const harness::WorldConfig& config, harness::RunMode mod
 
 void fill_breakdown(TrialResult& result, const mr::JobProfile& profile) {
   result.elapsed_seconds = profile.elapsed_seconds();
+  result.has_breakdown = true;
   result.am_setup_seconds = profile.am_setup_seconds();
   result.map_phase_seconds = profile.map_phase_seconds();
   result.shuffled_mb = to_mb(profile.shuffled_bytes);

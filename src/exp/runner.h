@@ -69,7 +69,8 @@ TrialResult run_world_trial(const harness::WorldConfig& config, harness::RunMode
                             wl::Workload& workload, const Trial& trial,
                             const std::function<void(mr::JobSpec&)>& adjust_spec = {});
 
-// Copies the profile's phase breakdown into the result.
+// Copies the profile's phase breakdown into the result and marks it
+// present, so the JSON sink writes it.
 void fill_breakdown(TrialResult& result, const mr::JobProfile& profile);
 
 }  // namespace mrapid::exp

@@ -65,8 +65,11 @@ struct TrialResult {
   bool ok = false;
   std::string error;
 
-  // Phase breakdown of the measured run (zero when not applicable).
+  // Phase breakdown of the measured run. has_breakdown is set by
+  // fill_breakdown; trials that never ran a job (engine benchmarks)
+  // leave it false and the JSON sink omits their breakdown block.
   double elapsed_seconds = 0.0;
+  bool has_breakdown = false;
   double am_setup_seconds = 0.0;
   double map_phase_seconds = 0.0;
   double shuffled_mb = 0.0;

@@ -127,10 +127,10 @@ SimCoreResult best_of(RunFn run) {
 void add_counters(SimCoreResult& result, const sim::Simulation& sim,
                   const mr::ShuffleStats& shuffle) {
   const sim::EventQueue::Stats& queue = sim.queue_stats();
-  const sim::TimerWheel::Stats& wheel = sim.wheel_stats();
-  result.cancelled += queue.cancelled + wheel.cancelled;
+  const sim::Simulation::TimerStats& timers = sim.wheel_stats();
+  result.cancelled += queue.cancelled + timers.cancelled;
   result.heap_peak = std::max(result.heap_peak, queue.heap_peak);
-  result.slab_slots = std::max({result.slab_slots, queue.slab_capacity, wheel.slab_capacity});
+  result.slab_slots = std::max({result.slab_slots, queue.slab_capacity, timers.slab_capacity});
   result.fetches += shuffle.fetches;
   result.coalesced_flows += shuffle.coalesced_flows;
   result.partition_calls += shuffle.partition_calls;
@@ -195,7 +195,7 @@ SimCoreResult run_cluster_scale(std::size_t nodes, double horizon_s) {
   SimCoreResult result;
   result.wall_seconds = seconds_since(start);
   // The dominant event population is NM heartbeats, which live in the
-  // timer wheel — count dispatches, not just queue pops.
+  // timer lanes — count dispatches, not just queue pops.
   result.events = world.simulation().processed_events();
   result.events_per_sec = static_cast<double>(result.events) / result.wall_seconds;
   add_counters(result, world.simulation(), world.shuffle_stats());
@@ -440,7 +440,7 @@ SimCoreResult sim_core_wordcount_sweep(bool smoke) {
     if (!run.has_value() || !run->succeeded) {
       throw TrialFailure("sim_core wordcount-sweep run failed");
     }
-    // Heartbeats dispatch from the timer wheel, so count all
+    // Heartbeats dispatch from the timer lanes, so count all
     // dispatches, not just queue pops.
     result.events += world.simulation().processed_events();
     add_counters(result, world.simulation(), world.shuffle_stats());

@@ -15,7 +15,7 @@
 //   wordcount-sweep  end to end: full worlds across the figure modes,
 //                    events/sec over every dispatched event,
 //   cluster-scale    a Poisson tenant stream over a 10k-node uniform
-//                    cluster: NM heartbeats through the timer wheel
+//                    cluster: NM heartbeats through the timer lanes
 //                    into the NodeTable-backed scheduler,
 //   placement-shuffle a scripted block-write/shuffle-flow mix driven
 //                    straight at the placement policy + flow network
@@ -66,7 +66,7 @@ SimCoreResult sim_core_wordcount_sweep(bool smoke);
 
 // Cluster scale: a Poisson tenant stream over a large uniform cluster
 // (10k nodes full, 256 smoke), baseline Hadoop mode. `events` counts
-// every dispatch, timer-wheel heartbeats included.
+// every dispatch, timer-lane heartbeats included.
 SimCoreResult sim_core_cluster_scale(bool smoke);
 
 // Placement/shuffle hot paths, measured the way event-churn measures

@@ -82,14 +82,16 @@ void write_json(std::ostream& os, const std::vector<ExperimentRun>& runs,
       w.kv("ok", r.ok);
       if (!r.ok) w.kv("error", r.error);
       w.kv("elapsed_s", r.elapsed_seconds);
-      w.key("breakdown").begin_object();
-      w.kv("am_setup_s", r.am_setup_seconds);
-      w.kv("map_phase_s", r.map_phase_seconds);
-      w.kv("shuffled_mb", r.shuffled_mb);
-      w.kv("maps", r.maps);
-      w.kv("node_local_maps", r.node_local_maps);
-      w.kv("failed_attempts", r.failed_attempts);
-      w.end_object();
+      if (r.has_breakdown) {
+        w.key("breakdown").begin_object();
+        w.kv("am_setup_s", r.am_setup_seconds);
+        w.kv("map_phase_s", r.map_phase_seconds);
+        w.kv("shuffled_mb", r.shuffled_mb);
+        w.kv("maps", r.maps);
+        w.kv("node_local_maps", r.node_local_maps);
+        w.kv("failed_attempts", r.failed_attempts);
+        w.end_object();
+      }
       if (!r.metrics.empty()) {
         w.key("metrics").begin_object();
         for (const auto& [name, v] : r.metrics) w.kv(name, v);

@@ -36,7 +36,8 @@ SeriesReport build_series_report(const ScenarioSpec& spec,
 void render_report(const ExperimentRun& run, std::ostream& os);
 
 // The BENCH_*.json document: schema header + per-experiment trial
-// records (params/mode/seed/elapsed/phase breakdown/metrics/errors).
+// records (params/mode/seed/elapsed/metrics/errors, plus the phase
+// breakdown of trials that went through fill_breakdown).
 void write_json(std::ostream& os, const std::vector<ExperimentRun>& runs,
                 const SweepOptions& options);
 

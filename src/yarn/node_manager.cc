@@ -27,7 +27,9 @@ Resource NodeManager::capacity() const {
 void NodeManager::start(sim::SimDuration initial_offset) {
   assert(!started_);
   started_ = true;
-  heartbeat_event_ = sim_.schedule_timer(initial_offset, [this] { heartbeat(); }, "nm:heartbeat");
+  // The staggered first beat is a one-off delay, so it goes through the
+  // queue; the recurring beats ride the nm_heartbeat timer lane.
+  heartbeat_event_ = sim_.schedule_after(initial_offset, [this] { heartbeat(); }, "nm:heartbeat");
 }
 
 void NodeManager::stop() {
@@ -55,7 +57,7 @@ void NodeManager::crash() {
 void NodeManager::pause_heartbeats(sim::SimDuration duration) {
   if (crashed_ || !started_) return;
   if (heartbeat_event_.valid()) sim_.cancel(heartbeat_event_);
-  heartbeat_event_ = sim_.schedule_timer(duration, [this] { heartbeat(); }, "nm:heartbeat");
+  heartbeat_event_ = sim_.schedule_after(duration, [this] { heartbeat(); }, "nm:heartbeat");
 }
 
 std::vector<Container> NodeManager::take_running() {

@@ -17,6 +17,7 @@
 #include "exp/scenario.h"
 #include "exp/sink.h"
 #include "exp/workload_factory.h"
+#include "mapreduce/job.h"
 #include "workloads/wordcount.h"
 
 namespace mrapid::exp {
@@ -298,9 +299,11 @@ TEST(Json, ResultSchemaRoundTripsTheTrialFields) {
     TrialResult result;
     result.trial = trial;
     result.ok = true;
+    mr::JobProfile profile;
+    profile.maps.resize(4);
+    profile.node_local_maps = 3;
+    fill_breakdown(result, profile);
     result.elapsed_seconds = 1.25;
-    result.maps = 4;
-    result.node_local_maps = 3;
     result.set_metric("speedup", 2.5);
     result.set_note("winner", "U+");
     return result;
@@ -341,6 +344,34 @@ TEST(Json, ResultSchemaRoundTripsTheTrialFields) {
   }
   EXPECT_EQ(depth, 0);
   EXPECT_FALSE(in_string);
+}
+
+TEST(Json, BreakdownIsWrittenOnlyForFilledTrials) {
+  // An engine-benchmark trial (metrics only, like sim_core's) carries
+  // no breakdown block; a trial that went through fill_breakdown does,
+  // even when every phase in it is zero.
+  ScenarioSpec spec;
+  spec.title = "sink check";
+  spec.axes = {int_axis("filled", {0, 1})};
+  spec.run = [](const Trial& trial) {
+    TrialResult result;
+    result.trial = trial;
+    result.ok = true;
+    if (trial.num("filled") != 0) fill_breakdown(result, mr::JobProfile{});
+    result.set_metric("events", 7);
+    return result;
+  };
+  SweepOptions options;
+  ExperimentRun run{"sink", spec, SweepRunner(options).run(spec)};
+
+  std::ostringstream os;
+  write_json(os, {run}, options);
+  const std::string json = os.str();
+  const std::size_t first = json.find("\"breakdown\": {");
+  ASSERT_NE(first, std::string::npos) << json;
+  EXPECT_EQ(json.find("\"breakdown\": {", first + 1), std::string::npos) << json;
+  // The one block belongs to the second (filled) trial.
+  EXPECT_GT(first, json.find("\"filled\": \"1\"")) << json;
 }
 
 // ---- series report sink ----------------------------------------------
