@@ -15,11 +15,7 @@ cd "$(dirname "$0")"
 CTEST_ARGS=("$@")
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
-# Leak detection is off: the harness deliberately keeps AMs and worlds
-# alive until process exit (shared_ptr teardown design), which LSan
-# reports as leaks in every test binary. ASan's memory-error detection
-# (use-after-free, overflows) and UBSan stay fully enabled.
-export ASAN_OPTIONS="detect_leaks=0:${ASAN_OPTIONS:-}"
+export ASAN_OPTIONS="detect_leaks=1:${ASAN_OPTIONS:-}"
 
 # Golden traces must never be rewritten by CI, only compared.
 unset GOLDEN_UPDATE

@@ -149,6 +149,8 @@ std::optional<mr::JobResult> World::run(wl::Workload& workload,
   }
 
   sim_->run_until(sim_->now() + config_.deadline);
+  // A finished SparkLite app's remaining callbacks hold weak_ptrs only.
+  std::erase_if(spark_apps_, [](const auto& app) { return app->finished(); });
   if (!outcome.has_value()) {
     LOG_WARN("harness", "run of %s (%s) hit the %.0fs deadline", spec.name.c_str(),
              run_mode_name(mode_), config_.deadline.as_seconds());

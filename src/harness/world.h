@@ -7,6 +7,14 @@
 // Every run gets a *fresh* world so runs never contaminate each other;
 // the workload object is reused across runs so its generated payloads
 // are built once.
+//
+// Lifetime: a finished job's state is freed while the world runs (the
+// JobClient's AM slot map, see mr::AmSlots), and destroying a World
+// frees everything it built. Members go in reverse order: SparkLite
+// apps, the fault injector, the framework, the client with every AM
+// it still holds, the RM with its app records, HDFS, the cluster, and
+// last the simulation with the pending events and their captures.
+// Nothing runs during teardown, so no callback sees a freed object.
 
 #include <functional>
 #include <memory>
@@ -123,7 +131,9 @@ class World {
   std::unique_ptr<mr::JobClient> client_;
   std::unique_ptr<core::MRapidFramework> framework_;
   std::unique_ptr<FaultInjector> injector_;
-  std::vector<std::shared_ptr<spark::SparkApp>> spark_apps_;  // keep alive
+  // SparkLite apps still running (a run that hit its deadline); a
+  // finished app is dropped as soon as its run returns.
+  std::vector<std::shared_ptr<spark::SparkApp>> spark_apps_;
   bool booted_ = false;
 };
 

@@ -20,8 +20,7 @@ AmBase::AmBase(cluster::Cluster& cluster, hdfs::Hdfs& hdfs, yarn::ResourceManage
       config_(config),
       spec_(std::move(spec)),
       mode_(mode),
-      on_complete_(std::move(on_complete)),
-      killed_(std::make_shared<bool>(false)) {
+      on_complete_(std::move(on_complete)) {
   profile_.job_name = spec_.name;
   profile_.mode = mode;
 }
@@ -29,7 +28,7 @@ AmBase::AmBase(cluster::Cluster& cluster, hdfs::Hdfs& hdfs, yarn::ResourceManage
 void AmBase::kill() {
   if (stopped()) return;
   stop_tasks();
-  *killed_ = true;
+  tasks_.killed = true;
   LOG_INFO("am", "job %s (%s) killed", spec_.name.c_str(), mode_name(mode_));
   if (app_id_ == yarn::kInvalidApp) return;
   if (managed_by_pool_) {

@@ -10,16 +10,22 @@
 // differ only in how tasks get a place to run; the flavour hooks below
 // carry the distributed AM's extra container/heartbeat steps.
 //
-// Lifetime: AMs are owned by shared_ptr and kept alive until the
-// simulation is torn down, so callbacks holding `this` stay valid even
-// after kill(); cancellation is the cooperative `killed` flag threaded
-// through TaskEnv.
+// Lifetime: every AM lives in a slot of the JobClient's AmSlots map
+// (am_slots.h). Callbacks that can outlive the attempt (RM handlers,
+// container launches, the umbilical and dispatch events, the pool
+// handoff) capture the AM's generation-checked `self()` reference and
+// do nothing once it is stale. Task callbacks capture `this` and are
+// counted in the TaskOwner the AM shares with its tasks through
+// TaskEnv; the slot map frees a released AM only when that count is
+// zero (quiescent()). Cancellation is the cooperative `killed` flag in
+// that same TaskOwner.
 
 #include <functional>
 #include <memory>
 
 #include "cluster/cluster.h"
 #include "hdfs/hdfs.h"
+#include "mapreduce/am_slots.h"
 #include "mapreduce/job.h"
 #include "mapreduce/shuffle.h"
 #include "mapreduce/task_runner.h"
@@ -51,7 +57,12 @@ class AmBase {
   void abandon();
 
   bool finished() const { return finished_; }
-  bool was_killed() const { return *killed_; }
+  bool was_killed() const { return tasks_.killed; }
+  // Terminal, and no task callback is still in flight: the slot map
+  // may free this attempt.
+  bool quiescent() const { return stopped() && tasks_.in_flight == 0; }
+  // This attempt's generation-checked reference (set by AmSlots).
+  AmRef self() const { return self_; }
   yarn::AppId app_id() const { return app_id_; }
   void set_app_id(yarn::AppId id) { app_id_ = id; }
   void set_submit_time(sim::SimTime t) { profile_.submit_time = t; }
@@ -71,10 +82,10 @@ class AmBase {
 
  protected:
   TaskEnv env() {
-    return TaskEnv{sim_, cluster_, hdfs_, config_,  killed_,
-                   app_id_, profile_.submit_time.as_micros()};
+    return TaskEnv{sim_, cluster_, hdfs_, config_, &tasks_, app_id_,
+                   profile_.submit_time.as_micros()};
   }
-  bool stopped() const { return finished_ || *killed_; }
+  bool stopped() const { return finished_ || tasks_.killed; }
 
   // The AM container is up: compute the splits and size every per-map
   // and per-partition table, the shard registry included.
@@ -119,7 +130,8 @@ class AmBase {
   ExecutionMode mode_;
   CompletionCallback on_complete_;
   yarn::AppId app_id_ = yarn::kInvalidApp;
-  std::shared_ptr<bool> killed_;
+  AmRef self_;
+  TaskOwner tasks_;  // kill flag + task callbacks in flight
   bool finished_ = false;
   bool managed_by_pool_ = false;
   JobProfile profile_;
@@ -136,6 +148,9 @@ class AmBase {
   std::vector<std::unique_ptr<ReduceRunner>> reduce_runners_;  // per partition
   std::vector<ReduceOutcome> reduce_outcomes_;
   int reducers_done_ = 0;
+
+ private:
+  friend class AmSlots;  // sets self_
 };
 
 }  // namespace mrapid::mr

@@ -15,8 +15,9 @@ void MRAppMaster::start(const yarn::Container& am_container) {
   map_done_.assign(splits_.size(), 0);
   reduce_attempt_.assign(static_cast<std::size_t>(spec_.num_reducers), 0);
 
-  rm_.set_container_lost_handler(
-      app_id_, [this](const yarn::Container& container) { on_container_lost(container); });
+  rm_.set_container_lost_handler(app_id_, [self = self()](const yarn::Container& container) {
+    if (auto* am = self.as<MRAppMaster>()) am->on_container_lost(container);
+  });
 
   // One ask per map task, carrying the replica hosts so a
   // locality-aware scheduler can honour them.
@@ -57,8 +58,9 @@ void MRAppMaster::heartbeat() {
   asks.swap(asks_to_send_);
   const auto allocations = rm_.am_allocate(app_id_, std::move(asks));
   for (const auto& allocation : allocations) on_allocation(allocation);
-  heartbeat_event_ = sim_.schedule_after(rm_.config().am_heartbeat, [this] { heartbeat(); },
-                                         "mram:heartbeat");
+  heartbeat_event_ = sim_.schedule_after(rm_.config().am_heartbeat, [self = self()] {
+    if (auto* am = self.as<MRAppMaster>()) am->heartbeat();
+  }, "mram:heartbeat");
 }
 
 void MRAppMaster::on_allocation(const yarn::Allocation& allocation) {
@@ -74,8 +76,10 @@ void MRAppMaster::on_allocation(const yarn::Allocation& allocation) {
     container_to_reduce_.emplace(allocation.container.id, partition);
     rm_.node_manager(allocation.container.node)
         .launch_container(allocation.container,
-                          [this, container = allocation.container, partition] {
-                            run_reduce(container, partition);
+                          [self = self(), container = allocation.container, partition] {
+                            if (auto* am = self.as<MRAppMaster>()) {
+                              am->run_reduce(container, partition);
+                            }
                           });
     return;
   }
@@ -85,8 +89,8 @@ void MRAppMaster::on_allocation(const yarn::Allocation& allocation) {
   container_to_map_.emplace(allocation.container.id, task);
   rm_.node_manager(allocation.container.node)
       .launch_container(allocation.container,
-                        [this, container = allocation.container, task] {
-                          run_map(container, task);
+                        [self = self(), container = allocation.container, task] {
+                          if (auto* am = self.as<MRAppMaster>()) am->run_map(container, task);
                         });
 }
 
@@ -129,22 +133,26 @@ void MRAppMaster::on_map_done(const yarn::Container& container, MapTaskResult re
   }
   // Task umbilical: status reaches the AM after a small RPC delay.
   sim_.schedule_after(config_.umbilical_latency,
-                      [this, container, result = std::move(result)]() mutable {
-    if (stopped()) return;
-    container_to_map_.erase(container.id);
-    // A lost container was already written off — never release those.
-    if (live_containers_.erase(container.id) > 0) rm_.release_container(container);
-    const auto task = static_cast<std::size_t>(result.profile.index);
-    // Stale completions: the attempt was invalidated (node expired or
-    // its output written off), or a duplicate attempt already counted.
-    if (result.profile.attempt < min_valid_attempt_[task] || map_done_[task]) return;
-    map_done_[task] = 1;
-    const MapTaskResult& accepted = accept_map(std::move(result));
-    for (auto& runner : reduce_runners_) {
-      if (runner) runner->on_map_output(accepted);
-    }
-    maybe_request_reducers();
+                      [self = self(), container, result = std::move(result)]() mutable {
+    if (auto* am = self.as<MRAppMaster>()) am->on_map_reported(container, std::move(result));
   }, "mram:map-done");
+}
+
+void MRAppMaster::on_map_reported(const yarn::Container& container, MapTaskResult result) {
+  if (stopped()) return;
+  container_to_map_.erase(container.id);
+  // A lost container was already written off — never release those.
+  if (live_containers_.erase(container.id) > 0) rm_.release_container(container);
+  const auto task = static_cast<std::size_t>(result.profile.index);
+  // Stale completions: the attempt was invalidated (node expired or
+  // its output written off), or a duplicate attempt already counted.
+  if (result.profile.attempt < min_valid_attempt_[task] || map_done_[task]) return;
+  map_done_[task] = 1;
+  const MapTaskResult& accepted = accept_map(std::move(result));
+  for (auto& runner : reduce_runners_) {
+    if (runner) runner->on_map_output(accepted);
+  }
+  maybe_request_reducers();
 }
 
 void MRAppMaster::maybe_request_reducers() {

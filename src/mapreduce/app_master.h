@@ -23,6 +23,8 @@ class MRAppMaster : public AmBase {
   void on_allocation(const yarn::Allocation& allocation);
   void run_map(const yarn::Container& container, std::size_t task_index);
   void on_map_done(const yarn::Container& container, MapTaskResult result);
+  // The task umbilical delivered a successful map's status.
+  void on_map_reported(const yarn::Container& container, MapTaskResult result);
   void on_map_failed(const yarn::Container& container, const MapTaskResult& result);
   void maybe_request_reducers();
   void run_reduce(const yarn::Container& container, int partition);
@@ -64,8 +66,9 @@ class MRAppMaster : public AmBase {
   std::unordered_map<yarn::ContainerId, std::size_t> container_to_map_;
   std::unordered_map<yarn::ContainerId, int> container_to_reduce_;
   std::unordered_map<cluster::NodeId, int> containers_per_node_;
-  // Superseded reducer attempts, kept alive (cancelled) until teardown
-  // because in-flight fluid transfers still reference them.
+  // Superseded reducer attempts, cancelled. Their in-flight fluid
+  // transfers still point at them and are counted in tasks_, so they
+  // stay until this attempt is quiescent and freed with it.
   std::vector<std::unique_ptr<ReduceRunner>> retired_runners_;
   std::vector<int> reduce_attempt_;  // per partition: current generation
   sim::EventId heartbeat_event_{};

@@ -14,7 +14,6 @@
 
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "mapreduce/am_base.h"
 
@@ -25,30 +24,40 @@ class JobClient {
   JobClient(cluster::Cluster& cluster, hdfs::Hdfs& hdfs, yarn::ResourceManager& rm,
             MRConfig config);
 
-  // Submits `spec` in the given mode. Returns the AM handle (already
-  // registered; the job starts asynchronously in simulated time). The
-  // handle stays valid until the client is destroyed.
-  std::shared_ptr<AmBase> submit(const JobSpec& spec, ExecutionMode mode,
-                                 AmBase::CompletionCallback on_complete);
+  // Submits `spec` in the given mode. Returns the AM's reference
+  // (already registered; the job starts asynchronously in simulated
+  // time). The attempt is released once the client has seen it finish
+  // (client:poll-complete, after `on_complete` returns); the reference
+  // then goes stale. A killed attempt nobody reports on stays until
+  // the client is destroyed.
+  AmRef submit(const JobSpec& spec, ExecutionMode mode, AmBase::CompletionCallback on_complete);
 
   const MRConfig& config() const { return config_; }
 
-  // Builds the right AM flavour for `mode` (also used by the MRapid
-  // submission framework, which launches AMs through its pool).
-  std::shared_ptr<AmBase> make_app_master(const JobSpec& spec, ExecutionMode mode,
-                                          AmBase::CompletionCallback on_complete);
+  // Builds the right AM flavour for `mode` into a slot (also used by
+  // the MRapid submission framework, which launches AMs through its
+  // pool). The caller releases the slot once the attempt is terminal
+  // and its owner has been told.
+  AmRef make_app_master(const JobSpec& spec, ExecutionMode mode,
+                        AmBase::CompletionCallback on_complete);
+  void release(AmRef am) { slots_.release(am); }
+  const AmSlots& slots() const { return slots_; }
 
   // Stages jar + conf into HDFS and calls `staged` when durable (step 2).
   void upload_job_files(const std::string& staging_dir, cluster::NodeId writer,
                         std::function<void()> staged);
 
  private:
+  struct Submission;
+  void on_am_ready(const std::shared_ptr<Submission>& sub, const yarn::Container& container);
+  void report(const std::shared_ptr<Submission>& sub, const JobResult& result);
+
   cluster::Cluster& cluster_;
   hdfs::Hdfs& hdfs_;
   yarn::ResourceManager& rm_;
   sim::Simulation& sim_;
   MRConfig config_;
-  std::vector<std::shared_ptr<AmBase>> retained_;  // keep AMs alive for callbacks
+  AmSlots slots_;
   int next_job_seq_ = 1;
 };
 

@@ -34,8 +34,8 @@ Locality best_locality(const cluster::Topology& topology, NodeId node,
 }  // namespace
 
 // NB: TaskEnv is captured *by value* throughout (it only holds
-// references and a shared_ptr), so callbacks stay valid however long
-// the fluid transfers take.
+// references and the owner pointer), and every asynchronous step goes
+// through env.hop(), so the owner outlives each callback it counts.
 void run_map_task(const TaskEnv& env_in, const JobSpec& spec, const InputSplit& split,
                   NodeId node, MapTaskOptions options, std::function<void(MapTaskResult)> done,
                   int attempt) {
@@ -59,8 +59,8 @@ void run_map_task(const TaskEnv& env_in, const JobSpec& spec, const InputSplit& 
 
   // Phase 2: read the split from HDFS (phase 1, setup, was the
   // container launch itself).
-  env.hdfs.read_block(split.block_id, node, [env, logic, split, node, options, state,
-                                             done = std::move(done)]() mutable {
+  env.hdfs.read_block(split.block_id, node, env.hop([env, logic, split, node, options, state,
+                                                     done = std::move(done)]() mutable {
     if (env.is_killed() || env.cluster.node(node).is_down()) return;
     state->profile.read_done = env.sim.now();
 
@@ -78,7 +78,7 @@ void run_map_task(const TaskEnv& env_in, const JobSpec& spec, const InputSplit& 
           sim::SimDuration::seconds(state->outcome.core_seconds * fraction));
       env.cluster.node(node).cpu().start(
           partial, logic->compute_contention(),
-          [env, state, done = std::move(done)](sim::SimDuration) mutable {
+          env.hop([env, state, done = std::move(done)](sim::SimDuration) mutable {
             if (env.is_killed() || env.cluster.node(state->profile.node).is_down()) return;
             state->failed = true;
             state->outcome = MapOutcome{};  // crashed: nothing produced
@@ -89,15 +89,15 @@ void run_map_task(const TaskEnv& env_in, const JobSpec& spec, const InputSplit& 
                          {"job", env.job}, {"task", state->profile.index},
                          {"attempt", state->profile.attempt}, {"node", state->profile.node});
             done(std::move(*state));
-          });
+          }));
       return;
     }
 
     const Bytes work = cluster::Node::cpu_work(
         sim::SimDuration::seconds(state->outcome.core_seconds));
     env.cluster.node(node).cpu().start(work, logic->compute_contention(),
-                                       [env, node, options, state,
-                                        done = std::move(done)](sim::SimDuration) mutable {
+                                       env.hop([env, node, options, state,
+                                                done = std::move(done)](sim::SimDuration) mutable {
       if (env.is_killed() || env.cluster.node(node).is_down()) return;
       state->profile.compute_done = env.sim.now();
 
@@ -122,7 +122,7 @@ void run_map_task(const TaskEnv& env_in, const JobSpec& spec, const InputSplit& 
                        {"job", env.job}, {"task", state->profile.index},
                        {"attempt", state->profile.attempt}, {"bytes", out});
         }
-        env.sim.schedule_now(std::move(finish), "map:in-memory");
+        env.sim.schedule_now(env.hop(std::move(finish)), "map:in-memory");
         return;
       }
 
@@ -133,8 +133,8 @@ void run_map_task(const TaskEnv& env_in, const JobSpec& spec, const InputSplit& 
                    {"attempt", state->profile.attempt}, {"bytes", out},
                    {"spills", state->profile.spills});
       auto& disk_write = env.cluster.node(node).disk_write();
-      disk_write.start(out, [env, node, out, state, finish = std::move(finish)](
-                                sim::SimDuration) mutable {
+      disk_write.start(out, env.hop([env, node, out, state, finish = std::move(finish)](
+                                        sim::SimDuration) mutable {
         if (env.is_killed() || env.cluster.node(node).is_down()) return;
         if (state->profile.spills <= 1) {
           finish();
@@ -146,12 +146,12 @@ void run_map_task(const TaskEnv& env_in, const JobSpec& spec, const InputSplit& 
                               sim::SimDuration) mutable {
           if (env.is_killed() || env.cluster.node(node).is_down()) return;
           env.cluster.node(node).disk_write().start(
-              out, [finish = std::move(finish)](sim::SimDuration) mutable { finish(); });
+              out, env.hop([finish = std::move(finish)](sim::SimDuration) mutable { finish(); }));
         };
-        env.cluster.node(node).disk_read().start(out, std::move(after_read));
-      });
-    });
-  });
+        env.cluster.node(node).disk_read().start(out, env.hop(std::move(after_read)));
+      }));
+    }));
+  }));
 }
 
 ReduceRunner::ReduceRunner(const TaskEnv& env, const JobSpec& spec,
@@ -220,9 +220,9 @@ void ReduceRunner::fetch(const MapTaskResult& result) {
     // Report upward (the AM re-runs the map); the fetch slot stays
     // open for the re-announcement.
     if (fetch_failed_) {
-      env_.sim.schedule_now([this, index] {
+      env_.sim.schedule_now(env_.hop([this, index] {
         if (!halted() && fetch_failed_) fetch_failed_(index);
-      }, "shuffle:fetch-failed");
+      }), "shuffle:fetch-failed");
     }
     return;
   }
@@ -245,16 +245,18 @@ void ReduceRunner::fetch(const MapTaskResult& result) {
     // Nothing to move: in-memory output already sits in the consuming
     // JVM (the U+ single-container case). Local fetches never touch
     // the net-leg batcher, so they don't break a same-source run.
-    env_.sim.schedule_now([this, bytes, index] {
+    env_.sim.schedule_now(env_.hop([this, bytes, index] {
       if (halted()) return;
       finish_fetch(index, bytes);
-    }, "shuffle:local");
+    }), "shuffle:local");
     return;
   }
 
   // Remote/on-disk fetch: source disk read (when spilled) and the
   // network flow stream concurrently; the fetch lands when both legs
-  // finish. Same-node fetches use the loopback link.
+  // finish. Same-node fetches use the loopback link. Each leg is one
+  // counted callback (held here, dropped in fetch_leg_done), which
+  // keeps the leg capture at 16 bytes.
   const std::uint32_t slot = alloc_fetch_record();
   FetchRecord& rec = fetch_records_[slot];
   rec.pending = result.profile.output_in_memory ? 1 : 2;
@@ -262,12 +264,14 @@ void ReduceRunner::fetch(const MapTaskResult& result) {
   rec.bytes = bytes;
   const std::uint32_t gen = rec.generation;
   if (!result.profile.output_in_memory) {
+    env_.hold();
     env_.cluster.node(src).disk_read().start(
         bytes, [this, slot, gen](sim::SimDuration) { fetch_leg_done(slot, gen); });
   }
   if (pending_src_ != src) flush_net_legs();
   pending_src_ = src;
   const cluster::Network::FlowId id = env_.cluster.network().announce_flow(src, node_, bytes);
+  env_.hold();
   pending_legs_.push_back(cluster::Network::LegStart{
       id, bytes, [this, slot, gen](sim::SimDuration) { fetch_leg_done(slot, gen); }});
 }
@@ -294,6 +298,11 @@ std::uint32_t ReduceRunner::alloc_fetch_record() {
 }
 
 void ReduceRunner::fetch_leg_done(std::uint32_t slot, std::uint32_t generation) {
+  // Every return path drops the leg's count, after the leg's work.
+  struct Dropped {
+    const TaskEnv& env;
+    ~Dropped() { env.drop(); }
+  } const dropped{env_};
   FetchRecord& rec = fetch_records_[slot];
   if (rec.generation != generation) return;  // a previous tenant's leg
   if (--rec.pending > 0) return;
@@ -344,22 +353,22 @@ void ReduceRunner::run_reduce_phase() {
   const Bytes work =
       cluster::Node::cpu_work(sim::SimDuration::seconds(outcome.core_seconds));
   env_.cluster.node(node_).cpu().start(work, spec_.logic->compute_contention(),
-                                       [this, outcome](sim::SimDuration) {
+                                       env_.hop([this, outcome](sim::SimDuration) {
     if (halted()) return;
     profile_.compute_done = env_.sim.now();
     profile_.output_bytes = outcome.output_bytes;
-    env_.hdfs.write_file(output_path_, outcome.output_bytes, node_, [this, outcome] {
+    env_.hdfs.write_file(output_path_, outcome.output_bytes, node_, env_.hop([this, outcome] {
       if (halted()) return;
-      env_.sim.schedule_after(env_.config.commit_overhead, [this, outcome] {
+      env_.sim.schedule_after(env_.config.commit_overhead, env_.hop([this, outcome] {
         if (halted()) return;
         profile_.end = env_.sim.now();
         MRAPID_TRACE_ATTEMPT(env_.sim, sim::TraceCategory::kTask, "reduce.done", attempt_,
                              {"app", env_.app}, {"job", env_.job}, {"partition", partition_},
                              {"node", node_}, {"output_bytes", outcome.output_bytes});
         done_(profile_, outcome);
-      }, "reduce:commit");
-    });
-  });
+      }), "reduce:commit");
+    }));
+  }));
 }
 
 }  // namespace mrapid::mr

@@ -6,14 +6,21 @@
 // read, map, spill, merge — and a reduce task walks shuffle (shards
 // read from the job's MapOutputRegistry), merge, reduce, output write.
 //
-// Cancellation is cooperative: each phase boundary checks the shared
-// `killed` flag (set when the speculative framework terminates the
-// slower mode; null for drivers that are never killed) and simply
-// stops; in-flight fluid transfers drain without side effects.
+// Cancellation is cooperative: each phase boundary checks the owning
+// attempt's `killed` flag (set when the speculative framework
+// terminates the slower mode) and simply stops; in-flight fluid
+// transfers drain without side effects.
+//
+// Lifetime: every callback a task hands to the simulation (an event, a
+// fluid transfer, an HDFS operation, a fetch leg) is counted in its
+// owner's `in_flight` until it has run. The owner (an AM attempt) is
+// freed only once that count is zero, so task callbacks may hold raw
+// pointers into it; see AmBase::quiescent().
 
 #include <functional>
 #include <memory>
 #include <span>
+#include <utility>
 
 #include "cluster/cluster.h"
 #include "hdfs/hdfs.h"
@@ -23,19 +30,48 @@
 
 namespace mrapid::mr {
 
+// The job attempt that owns a set of tasks.
+struct TaskOwner {
+  bool killed = false;
+  // Task callbacks handed out and not yet run.
+  std::int64_t in_flight = 0;
+};
+
 struct TaskEnv {
   sim::Simulation& sim;
   cluster::Cluster& cluster;
   hdfs::Hdfs& hdfs;
   const MRConfig& config;
-  std::shared_ptr<const bool> killed;  // owned by the job attempt
+  // Null for drivers that are never killed and never freed mid-run
+  // (SparkLite, benches driving a ReduceRunner directly).
+  TaskOwner* owner = nullptr;
   // Trace identity: the owning YARN app plus a per-job discriminator
   // (submit time in micros — pool slots reuse app ids across jobs, so
   // the pair is what uniquely names a job attempt in a trace).
   std::int32_t app = -1;
   std::int64_t job = 0;
 
-  bool is_killed() const { return killed && *killed; }
+  bool is_killed() const { return owner != nullptr && owner->killed; }
+
+  // Count one callback in flight / one that has run.
+  void hold() const {
+    if (owner != nullptr) ++owner->in_flight;
+  }
+  void drop() const {
+    if (owner != nullptr) --owner->in_flight;
+  }
+
+  // Wraps `f` as a counted callback: held now, dropped once it has
+  // run, so the owner cannot become quiescent while `f` executes.
+  template <class F>
+  auto hop(F f) const {
+    hold();
+    return [owner = owner, f = std::move(f)](auto&&... args) mutable {
+      TaskOwner* const o = owner;
+      f(std::forward<decltype(args)>(args)...);
+      if (o != nullptr) --o->in_flight;
+    };
+  }
 };
 
 struct MapTaskOptions {
@@ -102,8 +138,9 @@ class ReduceRunner {
   void set_fetch_failed(FetchFailedCallback cb) { fetch_failed_ = std::move(cb); }
 
   // Retire this attempt: no further progress, no further callbacks.
-  // The object must stay alive until teardown (in-flight fluid
-  // transfers still reference it).
+  // Its in-flight transfers still point at it; they are counted in the
+  // owner's TaskEnv, which keeps the owner (and so this runner) alive
+  // until they have drained.
   void cancel() { cancelled_ = true; }
 
   Bytes shuffled_bytes() const { return shuffled_bytes_; }

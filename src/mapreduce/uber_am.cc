@@ -30,8 +30,9 @@ void UberAppMaster::pump_maps() {
   // Per-task setup is serialized on the AM's dispatch path even for
   // parallel (U+) execution: one task enters the pool every
   // task_dispatch_overhead.
-  sim_.schedule_after(spec_.uber.task_dispatch_overhead, [this] { dispatch_next(); },
-                      "uber:dispatch");
+  sim_.schedule_after(spec_.uber.task_dispatch_overhead, [self = self()] {
+    if (auto* am = self.as<UberAppMaster>()) am->dispatch_next();
+  }, "uber:dispatch");
 }
 
 MapTaskOptions UberAppMaster::make_map_options() {

@@ -25,13 +25,16 @@ EstimatorDefaults estimator_defaults_for(const cluster::Cluster& cluster,
   return defaults;
 }
 
+// Owned by its two attempts' completion callbacks and its pending poll
+// event, never by the framework: it goes once both attempts have been
+// released after the client was told.
 struct MRapidFramework::SpeculativeRace {
   JobSpec spec;
   sim::SimTime submit_time;
   CompletionCallback on_complete;
   DecisionContext context;
-  std::shared_ptr<mr::AmBase> d_am;
-  std::shared_ptr<mr::AmBase> u_am;
+  mr::AmRef d_am;
+  mr::AmRef u_am;
   AmPool::Slot d_slot;
   AmPool::Slot u_slot;
   bool decided = false;
@@ -110,13 +113,16 @@ DecisionContext MRapidFramework::make_context(const JobSpec& spec) const {
 }
 
 void MRapidFramework::notify_client(sim::SimTime submit_time, CompletionCallback cb,
-                                    JobResult result) {
+                                    JobResult result, mr::AmRef am, mr::AmRef other) {
   if (options_.push_completion) {
     // Proxy pushes a completion RPC to the client.
     sim_.schedule_after(options_.proxy_rpc,
-                        [this, cb = std::move(cb), result = std::move(result)]() mutable {
+                        [this, cb = std::move(cb), result = std::move(result), am,
+                         other]() mutable {
                           result.profile.client_done_time = sim_.now();
                           cb(result);
+                          client_.release(am);
+                          client_.release(other);
                         },
                         "mrapid:push-complete");
     return;
@@ -124,9 +130,12 @@ void MRapidFramework::notify_client(sim::SimTime submit_time, CompletionCallback
   // Ablation: the client discovers completion at its next status poll.
   const sim::SimTime seen =
       mr::client_poll_time(submit_time, sim_.now(), client_.config().client_poll);
-  sim_.schedule_at(seen, [seen, cb = std::move(cb), result = std::move(result)]() mutable {
+  sim_.schedule_at(seen, [this, seen, cb = std::move(cb), result = std::move(result), am,
+                          other]() mutable {
     result.profile.client_done_time = seen;
     cb(result);
+    client_.release(am);
+    client_.release(other);
   }, "mrapid:poll-complete");
 }
 
@@ -163,16 +172,16 @@ void MRapidFramework::run_on_slot(const JobSpec& spec, ExecutionMode mode,
   auto am = client_.make_app_master(
       adjusted, mode, [this, job, slot](const JobResult& result) {
         active_jobs_.erase(slot.index);
-        if (job->am) {
-          history_.record_run(job->am->spec().logic->signature(),
-                              measure(*job->am, sim_.now()), job->record_winner);
+        if (const mr::AmBase* attempt = job->am.get()) {
+          history_.record_run(attempt->spec().logic->signature(), measure(*attempt, sim_.now()),
+                              job->record_winner);
         }
         JobResult adjusted_result = result;
         adjusted_result.profile.am_restarts += job->resubmits;
         pool_.release(slot.index);
         pump_queue();
         notify_client(job->submit_time, std::move(job->on_complete),
-                      std::move(adjusted_result));
+                      std::move(adjusted_result), job->am);
       });
   job->am = am;
   active_jobs_[slot.index] = job;
@@ -194,7 +203,10 @@ void MRapidFramework::run_on_slot(const JobSpec& spec, ExecutionMode mode,
   // The slot can die during the handoff — an abandoned AM never starts.
   sim_.schedule_after(options_.proxy_rpc + options_.am_job_init,
                       [am, container = slot.container] {
-                        if (!am->was_killed()) am->start(container);
+                        mr::AmBase* attempt = am.get();
+                        if (attempt != nullptr && !attempt->was_killed()) {
+                          attempt->start(container);
+                        }
                       },
                       "mrapid:am-handoff");
 }
@@ -212,12 +224,14 @@ void MRapidFramework::on_slot_lost(int index) {
     result.succeeded = false;
     result.profile = job->am->live_profile();
     result.profile.am_restarts = job->resubmits;
-    notify_client(job->submit_time, std::move(job->on_complete), std::move(result));
+    notify_client(job->submit_time, std::move(job->on_complete), std::move(result), job->am);
     return;
   }
   const int next = job->resubmits + 1;
   MRAPID_TRACE(sim_, sim::TraceCategory::kFault, "pool.resubmit",
                {"slot", index}, {"app", job->am->app_id()}, {"attempt", next});
+  // The abandoned attempt is done with; the resubmission gets a fresh one.
+  client_.release(job->am);
   LOG_WARN("mrapid", "slot %d lost; resubmitting %s (attempt %d)", index,
            job->spec.name.c_str(), next + 1);
   waiting_jobs_.push_back({1, [this, job, next]() mutable {
@@ -232,7 +246,8 @@ void MRapidFramework::on_slot_lost(int index) {
 std::vector<yarn::Container> MRapidFramework::active_am_containers() const {
   std::vector<yarn::Container> out;
   for (const auto& [index, job] : active_jobs_) {
-    if (job->am && !job->am->finished() && !job->am->was_killed()) {
+    const mr::AmBase* am = job->am.get();
+    if (am != nullptr && !am->finished() && !am->was_killed()) {
       out.push_back(pool_.slot(index).container);
     }
   }
@@ -331,12 +346,10 @@ void MRapidFramework::run_speculative(const JobSpec& spec, sim::SimTime submit_t
   }
   race->d_slot = *d_slot;
   race->u_slot = *u_slot;
-  races_.push_back(race);
   LOG_INFO("mrapid", "speculative launch of %s: D+ on slot %d, U+ on slot %d",
            spec.name.c_str(), race->d_slot.index, race->u_slot.index);
 
-  auto launch = [this, race](ExecutionMode mode, const AmPool::Slot& slot)
-      -> std::shared_ptr<mr::AmBase> {
+  auto launch = [this, race](ExecutionMode mode, const AmPool::Slot& slot) -> mr::AmRef {
     JobSpec adjusted = spec_copy(race->spec, mode);
     auto am = client_.make_app_master(
         adjusted, mode, [this, race, mode](const JobResult& result) {
@@ -414,7 +427,8 @@ void MRapidFramework::finish_race(std::shared_ptr<SpeculativeRace> race, Executi
   pump_queue();
   LOG_INFO("mrapid", "speculative %s finished; winner %s in %.2fs", race->spec.name.c_str(),
            mr::mode_name(winner), result.profile.elapsed_seconds());
-  notify_client(race->submit_time, std::move(race->on_complete), result);
+  notify_client(race->submit_time, std::move(race->on_complete), result, race->d_am,
+                race->u_am);
 }
 
 }  // namespace mrapid::core

@@ -13,6 +13,12 @@
 //   5. once the estimates (Eq. 2/3) diverge confidently, the decision
 //      maker picks a winner;
 //   6. the proxy kills the slower attempt and releases its resources.
+//
+// Lifetime: the framework builds every attempt through the JobClient's
+// AM slot map and names it only by mr::AmRef. A job's attempts (both
+// of a speculative pair, the killed loser included) are released in
+// the completion event that tells the client; an attempt abandoned on
+// a slot loss is released when the job is resubmitted.
 
 #include <deque>
 #include <functional>
@@ -86,12 +92,14 @@ class MRapidFramework {
 
   // One job currently running on a pool slot, retained so a slot loss
   // can abandon the attempt and resubmit the job through the queue.
+  // Shared by the active-job table and the attempt's completion
+  // callback; it names the attempt only by AmRef, so no cycle.
   struct ActiveJob {
     mr::JobSpec spec;  // original spec (output path re-derived per attempt)
     mr::ExecutionMode mode = mr::ExecutionMode::kDPlus;
     sim::SimTime submit_time;
     CompletionCallback on_complete;
-    std::shared_ptr<mr::AmBase> am;
+    mr::AmRef am;
     int resubmits = 0;
     bool record_winner = true;
   };
@@ -116,7 +124,10 @@ class MRapidFramework {
   void poll_race(std::shared_ptr<SpeculativeRace> race);
   void finish_race(std::shared_ptr<SpeculativeRace> race, mr::ExecutionMode winner,
                    const mr::JobResult& result);
-  void notify_client(sim::SimTime submit_time, CompletionCallback cb, mr::JobResult result);
+  // Tells the client (push RPC, or its next poll in the ablation), then
+  // releases the job's finished attempts from the client's slot map.
+  void notify_client(sim::SimTime submit_time, CompletionCallback cb, mr::JobResult result,
+                     mr::AmRef am, mr::AmRef other = {});
   void pump_queue();
 
   cluster::Cluster& cluster_;
@@ -133,7 +144,6 @@ class MRapidFramework {
     std::function<void()> run;
   };
   std::deque<WaitingJob> waiting_jobs_;  // pool exhausted
-  std::vector<std::shared_ptr<SpeculativeRace>> races_;  // keep alive
   std::unordered_map<int, std::shared_ptr<ActiveJob>> active_jobs_;  // by slot index
 };
 

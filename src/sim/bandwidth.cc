@@ -166,6 +166,9 @@ void BandwidthResource::on_completion_event() {
     const SimDuration elapsed = sim_.now() - t.started;
     if (t.on_complete) t.on_complete(elapsed);
   }
+  // Drop the fired callbacks (and whatever they captured) now rather
+  // than at this resource's next completion; the capacity stays.
+  done_.clear();
 }
 
 }  // namespace mrapid::sim

@@ -73,10 +73,11 @@ void SparkApp::driver_heartbeat() {
   for (const auto& allocation : rm_.am_allocate(app_id_, std::move(asks))) {
     rm_.node_manager(allocation.container.node)
         .launch_container(allocation.container,
-                          [this, container = allocation.container] {
-                            sim_.schedule_after(config_.executor_register,
-                                                [this, container] { on_executor_up(container); },
-                                                "spark:register");
+                          [app = weak_from_this(), sim = &sim_,
+                           delay = config_.executor_register, container = allocation.container] {
+                            sim->schedule_after(delay, [app, container] {
+                              if (auto live = app.lock()) live->on_executor_up(container);
+                            }, "spark:register");
                           });
   }
   heartbeat_event_ = sim_.schedule_after(rm_.config().am_heartbeat,
@@ -106,17 +107,21 @@ void SparkApp::maybe_start_map_stage() {
     // requested executor count, start anyway with what we have.
     if (!registration_deadline_armed_) {
       registration_deadline_armed_ = true;
-      sim_.schedule_after(config_.max_registered_wait, [this] {
-        if (map_stage_started_ || executors_.empty()) return;
-        LOG_WARN("spark", "starting with %zu/%d executors after registration timeout",
-                 executors_.size(), config_.executors);
-        map_stage_started_ = true;
-        profile_.first_map_start = sim_.now();
-        pump_map_tasks();
+      sim_.schedule_after(config_.max_registered_wait, [app = weak_from_this()] {
+        if (auto live = app.lock()) live->on_registration_timeout();
       }, "spark:registration-timeout");
     }
     return;
   }
+  map_stage_started_ = true;
+  profile_.first_map_start = sim_.now();
+  pump_map_tasks();
+}
+
+void SparkApp::on_registration_timeout() {
+  if (map_stage_started_ || executors_.empty()) return;
+  LOG_WARN("spark", "starting with %zu/%d executors after registration timeout",
+           executors_.size(), config_.executors);
   map_stage_started_ = true;
   profile_.first_map_start = sim_.now();
   pump_map_tasks();
@@ -237,6 +242,7 @@ void SparkApp::run_reduce_task(Executor& executor, int partition) {
 }
 
 void SparkApp::finish() {
+  finished_ = true;
   if (heartbeat_event_.valid()) sim_.cancel(heartbeat_event_);
   profile_.reduce = profile_.reduces.back();
   profile_.shuffle_done = sim::SimTime::zero();

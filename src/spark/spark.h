@@ -20,6 +20,12 @@
 // mr::MapOutputRegistry, and every reduce task reads its shards from
 // there. SparkLite jobs are never killed mid-run (no speculative race
 // drives them), so their tasks run with no kill flag.
+//
+// Lifetime: the caller owns the app through a shared_ptr and may drop
+// it once finished() is true. Only two kinds of callback can still
+// fire after that — an executor container that comes up late and the
+// registration timeout — and both hold a weak_ptr, so they do nothing
+// once the app is gone. Every other callback completes before finish().
 
 #include <functional>
 #include <memory>
@@ -54,7 +60,7 @@ struct SparkConfig {
   sim::SimDuration max_registered_wait = sim::SimDuration::seconds(30);
 };
 
-class SparkApp {
+class SparkApp : public std::enable_shared_from_this<SparkApp> {
  public:
   using CompletionCallback = std::function<void(const mr::JobResult&)>;
 
@@ -67,6 +73,7 @@ class SparkApp {
   void submit();
 
   const mr::JobProfile& live_profile() const { return profile_; }
+  bool finished() const { return finished_; }
   int registered_executors() const { return static_cast<int>(executors_.size()); }
 
  private:
@@ -79,6 +86,7 @@ class SparkApp {
   void driver_heartbeat();
   void on_executor_up(const yarn::Container& container);
   void maybe_start_map_stage();
+  void on_registration_timeout();
   void pump_map_tasks();
   void run_map_task_on(Executor& executor, std::size_t split_index);
   void on_map_task_done(Executor& executor, mr::MapTaskResult result);
@@ -109,6 +117,7 @@ class SparkApp {
   std::vector<mr::MapTaskResult> map_results_;  // in completion order
   std::unique_ptr<mr::MapOutputRegistry> registry_;
   int reducers_done_ = 0;
+  bool finished_ = false;
   std::vector<mr::ReduceOutcome> reduce_outcomes_;
   std::vector<Bytes> shuffled_per_partition_;
   mr::JobProfile profile_;

@@ -162,7 +162,10 @@ void ResourceManager::deliver_allocation(const Allocation& allocation) {
                             r->am_running = true;
                             LOG_INFO("rm", "app %d AM running on node %d", id,
                                      r->am_container.node);
-                            r->on_am_ready(r->am_container);
+                            // A copy: the handler may finish the app,
+                            // which drops the record's handlers.
+                            const AmReadyCallback ready = r->on_am_ready;
+                            ready(r->am_container);
                           },
                           config_.am_init);
     return;
@@ -202,6 +205,12 @@ void ResourceManager::finish_application(AppId id) {
   AppRecord* record = app(id);
   if (record == nullptr || record->finished) return;
   record->finished = true;
+  // Nothing calls a finished app's handlers again; drop them with
+  // whatever they captured (the submission and AM-side state).
+  record->on_am_ready = nullptr;
+  record->on_container_lost = nullptr;
+  record->on_am_lost = nullptr;
+  record->on_am_failed = nullptr;
   scheduler_->cancel_asks(id);
   for (const auto& allocation : record->pending) release_container(allocation.container);
   record->pending.clear();
@@ -274,8 +283,9 @@ void ResourceManager::notify_container_lost(const Container& container) {
   MRAPID_TRACE(sim_, sim::TraceCategory::kContainer, "container.lost",
                {"id", container.id}, {"app", container.app}, {"node", container.node});
   AppRecord* record = app(container.app);
-  if (record == nullptr || record->finished) return;
-  if (record->on_container_lost) record->on_container_lost(container);
+  if (record == nullptr || record->finished || !record->on_container_lost) return;
+  const auto on_lost = record->on_container_lost;  // may finish the app
+  on_lost(container);
 }
 
 void ResourceManager::handle_am_loss(const Container& container) {
@@ -291,7 +301,10 @@ void ResourceManager::handle_am_loss(const Container& container) {
   scheduler_->cancel_asks(record->id);
   for (const auto& allocation : record->pending) release_container(allocation.container);
   record->pending.clear();
-  if (record->on_am_lost) record->on_am_lost();
+  if (record->on_am_lost) {
+    const auto on_lost = record->on_am_lost;  // a copy, as in notify_container_lost
+    on_lost();
+  }
   if (record->am_attempts >= config_.am_max_attempts) {
     MRAPID_TRACE(sim_, sim::TraceCategory::kApp, "app.am_failed", {"app", record->id},
                  {"attempts", record->am_attempts});

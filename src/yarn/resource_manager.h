@@ -91,11 +91,16 @@ class ResourceManager : public SchedulerContext {
   NodeState* node_state(cluster::NodeId id) override { return table_.find(id); }
   NodeTable* node_table() override { return &table_; }
   const cluster::Topology& topology() const override { return cluster_.topology(); }
-  ContainerId next_container_id() override { return next_container_id_++; }
+  ContainerId next_container_id() override {
+    live_containers_.insert(next_container_id_);
+    return next_container_id_++;
+  }
   void deliver_allocation(const Allocation& allocation) override;
   sim::Simulation& simulation() override { return sim_; }
 
  private:
+  // One per application ever submitted. Finished records stay (their
+  // id answers app_finished()) but drop their handlers.
   struct AppRecord {
     AppId id = kInvalidApp;
     std::string name;
@@ -120,9 +125,11 @@ class ResourceManager : public SchedulerContext {
   // exactly once, however many recovery paths race to report it — a
   // node expiry, an in-flight launch-failure RPC and an AM teardown
   // can all target the same container. First caller wins; the rest
-  // must neither re-emit the event nor re-credit the resources.
-  bool mark_container_terminal(ContainerId id) { return terminal_containers_.insert(id).second; }
-  bool container_terminal(ContainerId id) const { return terminal_containers_.count(id) != 0; }
+  // must neither re-emit the event nor re-credit the resources. Every
+  // container id is minted by next_container_id(), so "terminal" is
+  // "no longer live", and the RM only remembers the live ones.
+  bool mark_container_terminal(ContainerId id) { return live_containers_.erase(id) != 0; }
+  bool container_terminal(ContainerId id) const { return live_containers_.count(id) == 0; }
   // As mark_container_terminal, but also tells the scheduler (its
   // running-container table and service-time samples feed the
   // backfilling shadow schedules and the waiting-time estimator).
@@ -141,7 +148,7 @@ class ResourceManager : public SchedulerContext {
   std::unordered_map<AppId, AppRecord> apps_;
   AppId next_app_id_ = 1;
   ContainerId next_container_id_ = 1;
-  std::unordered_set<ContainerId> terminal_containers_;
+  std::unordered_set<ContainerId> live_containers_;  // minted, not yet terminal
   AskId next_ask_id_ = 1;
   bool started_ = false;
   DenseNodeMap<sim::SimTime> last_heartbeat_;

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -381,6 +382,22 @@ TEST_F(BandwidthTest, ManyStaggeredTransfersAllComplete) {
   sim_.run();
   EXPECT_EQ(completed, 50);
   EXPECT_EQ(disk.active_transfers(), 0u);
+}
+
+TEST_F(BandwidthTest, FiredCallbackReleasesItsCapturesAtOnce) {
+  // A completion callback's captures must not outlive the completion:
+  // with no later transfer on the resource, nothing else would ever
+  // free them.
+  BandwidthResource cpu(sim_, "cpu", Rate::mb_per_sec(100));
+  auto payload = std::make_shared<std::vector<int>>(1024, 7);
+  const std::weak_ptr<std::vector<int>> watch = payload;
+  bool fired = false;
+  cpu.start(1_MB, [payload = std::move(payload), &fired](SimDuration) { fired = true; });
+  EXPECT_FALSE(watch.expired());
+  sim_.run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(cpu.active_transfers(), 0u);
+  EXPECT_TRUE(watch.expired());
 }
 
 // ---- resource pool ---------------------------------------------------

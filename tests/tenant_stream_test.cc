@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <algorithm>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/log.h"
 #include "exp/workload_factory.h"
 #include "harness/stream_pump.h"
 #include "sim/trace.h"
@@ -274,6 +277,60 @@ TEST(TenantStreamDiff, AllModesConserveJobsAndPassTraceInvariants) {
   for (const auto& [mode, labels] : submitted_by_mode) {
     EXPECT_EQ(labels, reference) << mode << " diverged from "
                                  << submitted_by_mode.begin()->first;
+  }
+}
+
+// ---- bounded memory over a long stream -----------------------------
+
+// Thousands of tiny jobs through one long-lived world: what a finished
+// job leaves behind must not grow with the stream. The client's slot
+// map never holds more AMs than can be running plus the pool's worth
+// of attempts waiting to go quiet, and each job's reduce result is
+// gone once its completion callback has returned.
+TEST(TenantStreamMemory, LongStreamKeepsFinishedJobsFreed) {
+  wl::TenantSpec tiny;
+  tiny.name = "tiny";
+  tiny.arrival.process = wl::ArrivalProcess::kPoisson;
+  tiny.arrival.mean_interarrival_seconds = 4.0;
+  tiny.scan_weight = 1.0;
+  tiny.sort_weight = 0.0;
+  tiny.numeric_weight = 0.0;
+  tiny.min_files = 1;
+  tiny.max_files = 1;
+  tiny.min_file_bytes = 64_KB;
+  tiny.max_file_bytes = 64_KB;
+
+  for (const harness::RunMode mode : {harness::RunMode::kHadoop, harness::RunMode::kDPlus}) {
+    const char* name = harness::run_mode_name(mode);
+    harness::WorldConfig config;
+    config.log_level = LogLevel::kError;
+    harness::World world(config, mode);
+
+    std::vector<std::weak_ptr<const void>> results;
+    std::size_t checked = 0;
+    std::size_t lingering = 0;
+    std::size_t max_live = 0;
+    harness::StreamPumpOptions options;
+    options.horizon_seconds = 8400.0;
+    options.on_job_complete = [&](const harness::StreamJobRecord&, wl::Workload&,
+                                  const mr::JobResult& result) {
+      // Every earlier job's completion callback has returned.
+      for (; checked < results.size(); ++checked) lingering += !results[checked].expired();
+      ASSERT_NE(result.reduce_result, nullptr);
+      results.push_back(result.reduce_result);
+      max_live = std::max(max_live, world.client().slots().live());
+    };
+    harness::StreamPump pump(world, {tiny}, options);
+    ASSERT_TRUE(pump.run()) << name;
+
+    EXPECT_GE(pump.submitted_jobs(), 2000u) << name;
+    EXPECT_EQ(results.size(), pump.submitted_jobs()) << name;
+    EXPECT_EQ(lingering, 0u) << name;
+    for (const auto& result : results) EXPECT_TRUE(result.expired()) << name;
+    const std::size_t cap = static_cast<std::size_t>(pump.slot_count());
+    const std::size_t pool = static_cast<std::size_t>(config.framework.pool_size);
+    EXPECT_LE(max_live, cap + pool) << name;
+    EXPECT_LE(world.client().slots().live(), pool) << name;
   }
 }
 
