@@ -2,11 +2,12 @@
 // events/sec across six variants — steady-state event-churn and the
 // cancel-heavy heartbeat/replan pattern on the slab event queue, an
 // end-to-end wordcount sweep, the cluster-scale tenant stream (10k
-// nodes) that exercises the timer wheel and the NodeTable-backed
-// scheduler, the placement-shuffle script (10k nodes) that exercises
-// the indexed placement engine and the incremental waterfill, and the
-// job-scale shuffle drive (2k maps x 512 reducers at 1k nodes) that
-// exercises the partition-once registry and the slab fetch engine.
+// nodes) that exercises the periodic heartbeat lane and the
+// NodeTable-backed scheduler, the placement-shuffle script (10k nodes)
+// that exercises the indexed placement engine and the incremental
+// waterfill, and the job-scale shuffle drive (2k maps x 512 reducers
+// at 1k nodes) that exercises the partition-once registry and the
+// slab fetch engine.
 //
 // Wall-clock output can never be byte-reproducible, so this experiment
 // only runs when --filter names it (like `micro`). CI refreshes the
@@ -58,6 +59,8 @@ exp::ScenarioSpec make(const exp::SweepOptions& opt) {
       result.set_metric("cancelled", static_cast<double>(measured.cancelled));
       result.set_metric("heap_peak", static_cast<double>(measured.heap_peak));
       result.set_metric("slab_slots", static_cast<double>(measured.slab_slots));
+      result.set_metric("beats_fired", static_cast<double>(measured.beats_fired));
+      result.set_metric("beats_elided", static_cast<double>(measured.beats_elided));
       result.set_metric("fetches", static_cast<double>(measured.fetches));
       result.set_metric("coalesced_flows", static_cast<double>(measured.coalesced_flows));
       result.set_metric("partition_calls", static_cast<double>(measured.partition_calls));

@@ -54,9 +54,10 @@ run_config() {
     --json /tmp/smoke_shootout.json > /dev/null
   # The sim-core throughput experiment, smoke-sized, in BOTH configs:
   # under sanitizers its cluster-scale variant is the only CI exercise
-  # of the heartbeat timer lanes + NodeTable-backed scheduler on a large
-  # (256-node) cluster, its placement-shuffle variant drives the
-  # indexed placement policy + incremental waterfill through a scripted
+  # of the periodic heartbeat lane (idle beats counted in bulk) +
+  # NodeTable-backed scheduler on a large (256-node) cluster, its
+  # placement-shuffle variant drives the indexed placement policy +
+  # incremental waterfill through a scripted
   # replica-draw/shuffle-flow mix, and its job-scale variant drives the
   # partition-once registry, slab fetch records and coalesced flows
   # through a 256-map x 64-reducer job straight at ReduceRunner.
@@ -81,17 +82,18 @@ build-release/bench/mrapid_bench --filter sim_core --smoke \
   --json build-release/BENCH_simcore.json > /dev/null
 
 echo "=== [release] end-to-end benchmark check ==="
-# perfbench's own unit tests, then the paper-sweep and cluster-scale
-# workloads once each (--seconds 0: the minimum number of processes) at
-# the held-out seed 7. run.py exits 0 even when a check fails, so the
-# step reads its last stdout line, a JSON object: "correct" is true only
-# when every job's digest equals the reference executor's and the
-# combined digest equals the one recorded in perfbench/digests.json,
-# which makes the recorded digests a gate on the workload payload's
-# answers. cluster-scale is the 10k-node heartbeat stream: its digests
-# and drain gate the timer lanes and the scheduler at full scale.
+# perfbench's own unit tests, then every workload once (--seconds 0:
+# the minimum number of processes) at the held-out seed 7. run.py exits
+# 0 even when a check fails, so the step reads its last stdout line, a
+# JSON object: "correct" is true only when every job's digest equals
+# the reference executor's and the combined digest equals the one
+# recorded in perfbench/digests.json, which makes the recorded digests
+# a gate on the workload payload's answers. cluster-scale is the
+# 10k-node heartbeat stream: its digests and drain gate the periodic
+# lane's elision of idle beats and the scheduler at full scale.
+# tenant-stream puts D+ and the AM pool under the same elision.
 python3 -m unittest discover -s perfbench/tests
-for workload in paper-sweep cluster-scale; do
+for workload in paper-sweep tenant-stream cluster-scale; do
   python3 perfbench/run.py --workload "$workload" --seed 7 --seconds 0 --trace 0 \
     > "build-release/perfbench_${workload//-/_}.txt"
   tail -n 1 "build-release/perfbench_${workload//-/_}.txt" |
@@ -106,7 +108,8 @@ echo "=== [release] determinism gate ==="
 # the SparkLite golden (wordcount_spark.trace, three reduce
 # partitions), which pins the comparison engine's shuffle. Each hot path
 # has one engine, held to a small independent oracle in ctest above:
-# sorted references for the event queue and the timer lanes,
+# sorted references for the event queue and the periodic lane (plus,
+# for the lane, a never-parked run of every script),
 # from-scratch scans for the NodeTable, a candidate-vector scan for
 # placement, a textbook progressive-filling reference (0 ULP) plus a
 # brute-force max-min check for the waterfill, and per-fetch

@@ -121,16 +121,18 @@ SimCoreResult best_of(RunFn run) {
 }
 
 // Folds one simulation's engine counters, plus the shuffle counters of
-// a run that drove the fetch engine, into `result`: cancels and
+// a run that drove the fetch engine, into `result`: cancels, beats and
 // shuffle counts add up across runs, heap and slab sizes keep the
 // peak.
 void add_counters(SimCoreResult& result, const sim::Simulation& sim,
                   const mr::ShuffleStats& shuffle) {
   const sim::EventQueue::Stats& queue = sim.queue_stats();
-  const sim::Simulation::TimerStats& timers = sim.wheel_stats();
-  result.cancelled += queue.cancelled + timers.cancelled;
+  const sim::Simulation::TimerStats& lane = sim.wheel_stats();
+  result.cancelled += queue.cancelled + lane.cancelled;
   result.heap_peak = std::max(result.heap_peak, queue.heap_peak);
-  result.slab_slots = std::max({result.slab_slots, queue.slab_capacity, timers.slab_capacity});
+  result.slab_slots = std::max({result.slab_slots, queue.slab_capacity, lane.slab_capacity});
+  result.beats_fired += lane.fired;
+  result.beats_elided += lane.elided;
   result.fetches += shuffle.fetches;
   result.coalesced_flows += shuffle.coalesced_flows;
   result.partition_calls += shuffle.partition_calls;
@@ -194,8 +196,9 @@ SimCoreResult run_cluster_scale(std::size_t nodes, double horizon_s) {
   }
   SimCoreResult result;
   result.wall_seconds = seconds_since(start);
-  // The dominant event population is NM heartbeats, which live in the
-  // timer lanes — count dispatches, not just queue pops.
+  // The dominant event population is NM heartbeats from the periodic
+  // lane, most of them counted in bulk: count every processed event,
+  // not just queue pops.
   result.events = world.simulation().processed_events();
   result.events_per_sec = static_cast<double>(result.events) / result.wall_seconds;
   add_counters(result, world.simulation(), world.shuffle_stats());
@@ -440,8 +443,8 @@ SimCoreResult sim_core_wordcount_sweep(bool smoke) {
     if (!run.has_value() || !run->succeeded) {
       throw TrialFailure("sim_core wordcount-sweep run failed");
     }
-    // Heartbeats dispatch from the timer lanes, so count all
-    // dispatches, not just queue pops.
+    // Heartbeats come from the periodic lane, so count every processed
+    // event, not just queue pops.
     result.events += world.simulation().processed_events();
     add_counters(result, world.simulation(), world.shuffle_stats());
   }

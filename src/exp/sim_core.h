@@ -15,8 +15,9 @@
 //   wordcount-sweep  end to end: full worlds across the figure modes,
 //                    events/sec over every dispatched event,
 //   cluster-scale    a Poisson tenant stream over a 10k-node uniform
-//                    cluster: NM heartbeats through the timer lanes
-//                    into the NodeTable-backed scheduler,
+//                    cluster: NM heartbeats through the periodic lane
+//                    (most counted in bulk, the rest into the
+//                    NodeTable-backed scheduler),
 //   placement-shuffle a scripted block-write/shuffle-flow mix driven
 //                    straight at the placement policy + flow network
 //                    on a 10k-node fabric; throughput counts replica
@@ -44,6 +45,10 @@ struct SimCoreResult {
   std::uint64_t cancelled = 0;
   std::size_t heap_peak = 0;
   std::size_t slab_slots = 0;
+  // Periodic-lane beats: dispatched, and counted in bulk without a
+  // dispatch (both are in `events` for the end-to-end variants).
+  std::uint64_t beats_fired = 0;
+  std::uint64_t beats_elided = 0;
   // Shuffle counters (mr::ShuffleStats) for the variants that run the
   // MapReduce fetch engine; zero for the queue-only variants.
   std::uint64_t fetches = 0;
@@ -66,7 +71,7 @@ SimCoreResult sim_core_wordcount_sweep(bool smoke);
 
 // Cluster scale: a Poisson tenant stream over a large uniform cluster
 // (10k nodes full, 256 smoke), baseline Hadoop mode. `events` counts
-// every dispatch, timer-lane heartbeats included.
+// every processed event, heartbeats counted in bulk included.
 SimCoreResult sim_core_cluster_scale(bool smoke);
 
 // Placement/shuffle hot paths, measured the way event-churn measures

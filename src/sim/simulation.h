@@ -4,15 +4,15 @@
 //
 // Single-threaded by design: determinism comes from the stable event
 // order plus named RNG streams (common/rng.h). Pending events live in
-// two stores: the EventQueue heap for one-off callbacks and one FIFO
-// lane per recurring delay for timers (schedule_timer). A timer set at
-// now + d for a fixed d is appended in (time, seq) order, because now
-// never decreases and sequence numbers only grow, so a lane is sorted
-// by construction and needs no heap, wheel or per-slot sort. Both
-// stores draw sequence numbers from one counter and run_until merges
-// the queue head with the lane heads on (time, seq), so they dispatch
-// as a single ordered queue would. tests/timer_lane_diff_test.cc holds
-// this to a sorted oracle. Components hold a Simulation& and schedule
+// two stores: the EventQueue heap for one-off callbacks and the
+// periodic lane (sim/periodic_lane.h) for recurring beats such as NM
+// heartbeats. Both draw sequence numbers from one counter and
+// run_until merges the queue head with the lane head on (time, key),
+// so they dispatch as a single ordered queue would. Beats whose owner
+// parked them are passed in bulk instead of dispatched while the lane
+// sleeps; each still counts as a processed event.
+// tests/timer_lane_diff_test.cc holds the lane to a never-parked run
+// and to a sorted oracle. Components hold a Simulation& and schedule
 // callbacks; there is no global state.
 
 #include <cstdint>
@@ -20,10 +20,10 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "common/rng.h"
 #include "sim/event_queue.h"
+#include "sim/periodic_lane.h"
 #include "sim/time.h"
 
 namespace mrapid::sim {
@@ -50,23 +50,34 @@ class Simulation {
   // the same simulated instant.
   EventId schedule_now(EventCallback callback, EventLabel label = {});
 
-  // For recurring delays (heartbeats, liveness polls): appends to the
-  // FIFO lane for `delay`, created on first use. The timer is stamped
-  // with the next sequence number of the shared (time, seq) order, so
-  // it dispatches exactly where a schedule_after at this instant would.
-  // A simulation holds only a few lanes (asserted): one-off delays
-  // belong on schedule_after.
-  EventId schedule_timer(SimDuration delay, EventCallback callback, EventLabel label = {});
-
   // Returns true if the event existed and had neither fired nor been
-  // cancelled. Timer ids carry EventId::kTimerTag; queue ids never do.
-  bool cancel(EventId id) {
-    if ((id.value & EventId::kTimerTag) != 0) return cancel_timer(id);
-    return queue_.cancel(id);
-  }
+  // cancelled.
+  bool cancel(EventId id) { return queue_.cancel(id); }
+
+  // ---- the periodic lane (sim/periodic_lane.h) ----------------------
+  // A member beats every `period` (one period per simulation) from
+  // `first_beat`, which lies in [now, now + period]. Joining takes a
+  // sequence number, so the first beat sorts exactly where a
+  // schedule_at(first_beat) here would; each dispatched beat re-arms
+  // with a sequence number taken after its callback returns.
+  using LaneMember = PeriodicLane::Member;
+  LaneMember join_lane(SimDuration period, SimTime first_beat, EventCallback callback,
+                       EventLabel label = {});
+  // False if the member already left.
+  bool leave_lane(LaneMember member) { return lane_.leave(member); }
+  // A parked member vouches that its beat would change nothing: while
+  // the lane sleeps, its beats are counted instead of dispatched.
+  void park(LaneMember member, bool parked) { lane_.set_parked(member, parked); }
+  // An awake lane dispatches every beat.
+  void set_lane_awake(bool awake) { lane_.set_awake(awake); }
+  // The member's latest processed beat (dispatched or counted), or its
+  // join time before its first.
+  SimTime last_fire(LaneMember member) const { return lane_.last_fire(member); }
 
   // Runs until the event queue drains or stop() is called. Returns the
-  // number of events processed by this call.
+  // number of events processed by this call, counted beats included.
+  // A lane whose every member is parked beats forever without firing
+  // anything, so it does not keep run() going.
   std::uint64_t run();
 
   // Runs events with time <= deadline; the clock ends at
@@ -77,25 +88,20 @@ class Simulation {
   // event finishes.
   void stop() { stop_requested_ = true; }
 
-  bool idle() const { return queue_.empty() && timers_live_ == 0; }
+  bool idle() const { return queue_.empty() && lane_.empty(); }
   std::uint64_t processed_events() const { return processed_; }
 
-  // Lifetime counters of the timer lanes. slab_capacity counts the
-  // ring records allocated across all lanes.
-  struct TimerStats {
-    std::uint64_t scheduled = 0;
-    std::uint64_t fired = 0;
-    std::uint64_t cancelled = 0;
-    std::size_t slab_capacity = 0;
-  };
+  // Lifetime counters of the periodic lane: dispatched (fired) and
+  // counted (elided) beats, joins, leaves (cancelled), member slots.
+  using TimerStats = PeriodicLane::Stats;
 
   // Event-core counters (pushed/fired/cancelled, heap peak, slab
   // capacity) — the exp layer's sim_core benchmark and perfbench
   // report these; wheel_stats() keeps the name perfbench's metrics use
   // (sim.wheel_fired, sim.wheel_cancelled).
   const EventQueue::Stats& queue_stats() const { return queue_.stats(); }
-  const TimerStats& wheel_stats() const { return timer_stats_; }
-  std::size_t pending_events() const { return queue_.size() + timers_live_; }
+  const TimerStats& wheel_stats() const { return lane_.stats(); }
+  std::size_t pending_events() const { return queue_.size() + lane_.size(); }
 
   // Label of the event currently being dispatched, materialised only
   // while a tracer is attached (empty otherwise). Debug/trace aid.
@@ -110,8 +116,14 @@ class Simulation {
 
   // Trace observer (sim/trace.h). Not owned; null (the default) means
   // tracing is off and MRAPID_TRACE sites cost one pointer test.
+  // Attaching or detaching wakes the lane: a parked beat is one that
+  // changes nothing, and what a tracer records is a change, so the
+  // lane's owner decides afresh at the next beat.
   Tracer* tracer() const { return tracer_; }
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
+  void set_tracer(Tracer* tracer) {
+    tracer_ = tracer;
+    lane_.set_awake(true);
+  }
 
  private:
   struct TransparentStringHash {
@@ -121,49 +133,8 @@ class Simulation {
     }
   };
 
-  // The pending timers of one recurring delay. Records sit in a
-  // power-of-two ring indexed by absolute position (ids stay valid
-  // across growth); [head, tail) holds the unfired ones in (time, seq)
-  // order. Cancellation is lazy: a cancelled record stays in place,
-  // marked dead, until it reaches the head, which is always live or
-  // equal to tail.
-  struct TimerLane {
-    struct Record {
-      SimTime time;
-      std::uint64_t seq = 0;
-      EventCallback callback;
-      EventLabel label;
-      bool live = false;
-    };
-    SimDuration delay;
-    std::vector<Record> ring;
-    std::uint64_t head = 0;
-    std::uint64_t tail = 0;
-
-    Record& at(std::uint64_t pos) { return ring[pos & (ring.size() - 1)]; }
-    void skip_dead() {
-      while (head != tail && !at(head).live) ++head;
-    }
-  };
-
-  // A timer id is kTimerTag | lane index << kLaneShift | position.
-  // Positions are never reused, so an id that fired or was cancelled
-  // is rejected without a generation stamp.
-  static constexpr int kLaneShift = 56;
-  static constexpr std::uint64_t kPositionMask = (1ull << kLaneShift) - 1;
-  static constexpr std::size_t kMaxLanes = 16;
-
-  bool cancel_timer(EventId id);
-  void grow(TimerLane& lane);
-  // The lane whose head comes first on (time, seq); null when no timer
-  // is pending.
-  TimerLane* earliest_lane();
-  EventQueue::Fired pop_timer(TimerLane& lane);
-
   EventQueue queue_;
-  std::vector<TimerLane> lanes_;
-  std::size_t timers_live_ = 0;
-  TimerStats timer_stats_;
+  PeriodicLane lane_;
   SimTime now_ = SimTime::zero();
   bool stop_requested_ = false;
   std::uint64_t processed_ = 0;

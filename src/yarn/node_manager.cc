@@ -27,37 +27,56 @@ Resource NodeManager::capacity() const {
 void NodeManager::start(sim::SimDuration initial_offset) {
   assert(!started_);
   started_ = true;
-  // The staggered first beat is a one-off delay, so it goes through the
-  // queue; the recurring beats ride the nm_heartbeat timer lane.
-  heartbeat_event_ = sim_.schedule_after(initial_offset, [this] { heartbeat(); }, "nm:heartbeat");
+  join(sim_.now() + initial_offset);
 }
 
 void NodeManager::stop() {
-  if (heartbeat_event_.valid()) {
-    sim_.cancel(heartbeat_event_);
-    heartbeat_event_ = sim::EventId{};
-  }
+  leave();
   started_ = false;
 }
 
-void NodeManager::heartbeat() {
-  rm_.on_nm_heartbeat(node_);
-  heartbeat_event_ =
-      sim_.schedule_timer(config_.nm_heartbeat, [this] { heartbeat(); }, "nm:heartbeat");
+void NodeManager::join(sim::SimTime first_beat) {
+  beat_ = sim_.join_lane(config_.nm_heartbeat, first_beat, [this] { heartbeat(); },
+                         "nm:heartbeat");
+  sim_.park(beat_, parked_);
 }
+
+void NodeManager::leave() {
+  if (beat_.valid()) {
+    last_beat_ = sim_.last_fire(beat_);
+    sim_.leave_lane(beat_);
+    beat_ = {};
+  }
+  if (resume_event_.valid()) {
+    sim_.cancel(resume_event_);
+    resume_event_ = sim::EventId{};
+  }
+}
+
+void NodeManager::set_parked(bool parked) {
+  parked_ = parked;
+  if (beat_.valid()) sim_.park(beat_, parked);
+}
+
+sim::SimTime NodeManager::last_heartbeat() const {
+  return beat_.valid() ? sim_.last_fire(beat_) : last_beat_;
+}
+
+void NodeManager::heartbeat() { rm_.on_nm_heartbeat(node_); }
 
 void NodeManager::crash() {
   crashed_ = true;
-  if (heartbeat_event_.valid()) {
-    sim_.cancel(heartbeat_event_);
-    heartbeat_event_ = sim::EventId{};
-  }
+  leave();
 }
 
 void NodeManager::pause_heartbeats(sim::SimDuration duration) {
   if (crashed_ || !started_) return;
-  if (heartbeat_event_.valid()) sim_.cancel(heartbeat_event_);
-  heartbeat_event_ = sim_.schedule_after(duration, [this] { heartbeat(); }, "nm:heartbeat");
+  leave();
+  resume_event_ = sim_.schedule_after(duration, [this] {
+    resume_event_ = sim::EventId{};
+    heartbeat();
+    join(sim_.now() + config_.nm_heartbeat);
+  }, "nm:heartbeat");
 }
 
 std::vector<Container> NodeManager::take_running() {

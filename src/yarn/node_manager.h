@@ -1,8 +1,9 @@
 #pragma once
 
 // A NodeManager: owns the containers running on one worker node,
-// heartbeats to the RM on a fixed period (staggered per node), and
-// charges container launch time (localisation + JVM spin-up).
+// heartbeats to the RM on a fixed period (staggered per node) as a
+// member of the simulation's periodic lane, and charges container
+// launch time (localisation + JVM spin-up).
 
 #include <cstdint>
 #include <functional>
@@ -32,9 +33,17 @@ class NodeManager {
   // Resources this NM advertises to the RM.
   Resource capacity() const;
 
-  // Begin heartbeating; the first beat fires after `initial_offset`.
+  // Begin heartbeating: join the periodic lane with the first beat
+  // `initial_offset` from now, which fixes this node's phase.
   void start(sim::SimDuration initial_offset);
   void stop();
+
+  // The RM parks a node whose next beat would change nothing; its
+  // beats are then counted instead of dispatched while the lane
+  // sleeps. Kept across pauses.
+  void set_parked(bool parked);
+  // Time of the latest beat (dispatched or counted), or of start().
+  sim::SimTime last_heartbeat() const;
 
   // AM -> NM: start a container. `on_running` fires once the RPC has
   // arrived and the JVM is up (rpc_latency + container_launch +
@@ -48,13 +57,14 @@ class NodeManager {
   std::size_t launched_total() const { return launched_total_; }
 
   // ---- fault injection ------------------------------------------------
-  // Node death: heartbeats stop for good; launch_container() on a
-  // crashed NM reports the container lost to the RM after the RPC
-  // timeout instead of ever starting it.
+  // Node death: heartbeats stop for good (the NM leaves the lane);
+  // launch_container() on a crashed NM reports the container lost to
+  // the RM after the RPC timeout instead of ever starting it.
   void crash();
   bool crashed() const { return crashed_; }
-  // Heartbeat loss: the node keeps running but goes silent; the next
-  // beat fires after `duration` (and resumes the normal period).
+  // Heartbeat loss: the node keeps running but goes silent. It leaves
+  // the lane; the next beat fires after `duration` and rejoins it, so
+  // the resume instant becomes the node's new phase.
   void pause_heartbeats(sim::SimDuration duration);
   // RM resync after expiry: hand over (and forget) every container
   // this NM still believes is running, in container-id order.
@@ -62,6 +72,8 @@ class NodeManager {
 
  private:
   void heartbeat();
+  void join(sim::SimTime first_beat);
+  void leave();
 
   cluster::Cluster& cluster_;
   sim::Simulation& sim_;
@@ -70,7 +82,10 @@ class NodeManager {
   const YarnConfig& config_;
   std::unordered_map<ContainerId, Container> running_;
   std::size_t launched_total_ = 0;
-  sim::EventId heartbeat_event_{};
+  sim::Simulation::LaneMember beat_{};
+  sim::EventId resume_event_{};  // the beat that ends a pause
+  sim::SimTime last_beat_;       // while out of the lane
+  bool parked_ = false;
   bool started_ = false;
   bool crashed_ = false;
 };

@@ -52,17 +52,14 @@ void ResourceManager::start() {
                                  config_.nm_heartbeat.as_micros() /
                                  static_cast<std::int64_t>(workers.size()));
     nm->start(offset);
+    // A fresh node is alive with nothing to release: park it.
+    nm->set_parked(true);
     node_managers_.emplace(node, std::move(nm));
-    last_heartbeat_[node] = sim_.now();
   }
-  if (config_.track_liveness) {
-    // The liveness monitor polls at a quarter of the expiry interval,
-    // so a silent node is expired within [nm_expiry, 1.25 * nm_expiry)
-    // of its last beat.
-    liveness_event_ = sim_.schedule_timer(
-        sim::SimDuration::micros(config_.nm_expiry.as_micros() / 4),
-        [this] { liveness_check(); }, "rm:liveness");
-  }
+  // The new membership reaches the scheduler at the first beat.
+  refresh_due_ = true;
+  sync_lane();
+  if (config_.track_liveness) schedule_liveness_check();
 }
 
 void ResourceManager::stop() {
@@ -74,16 +71,38 @@ void ResourceManager::stop() {
   started_ = false;
 }
 
+void ResourceManager::schedule_liveness_check() {
+  // The liveness monitor polls at a quarter of the expiry interval, so
+  // a silent node is expired within [nm_expiry, 1.25 * nm_expiry) of
+  // its last beat.
+  liveness_event_ = sim_.schedule_after(
+      sim::SimDuration::micros(config_.nm_expiry.as_micros() / 4),
+      [this] { liveness_check(); }, "rm:liveness");
+}
+
 void ResourceManager::liveness_check() {
   for (auto& state : table_.states()) {
     if (!state.alive) continue;
-    if (sim_.now() - last_heartbeat_[state.id] >= config_.nm_expiry) {
+    if (sim_.now() - node_manager(state.id).last_heartbeat() >= config_.nm_expiry) {
       expire_node(state.id);
     }
   }
-  liveness_event_ = sim_.schedule_timer(
-      sim::SimDuration::micros(config_.nm_expiry.as_micros() / 4),
-      [this] { liveness_check(); }, "rm:liveness");
+  schedule_liveness_check();
+}
+
+void ResourceManager::sync_lane() {
+  // A beat can change something only while asks wait, while a
+  // membership flip has not yet reached the scheduler, or when a
+  // tracer records heartbeats; otherwise parked beats are counted.
+  const sim::Tracer* tracer = sim_.tracer();
+  const bool traced = tracer != nullptr && tracer->enabled(sim::TraceCategory::kHeartbeat);
+  sim_.set_lane_awake(traced || refresh_due_ || scheduler_->queued_asks() > 0);
+}
+
+void ResourceManager::add_pending_release(NodeState& state, Resource amount) {
+  table_.add_pending_release(state, amount);
+  // The node's next beat frees the resources: it must dispatch.
+  node_manager(state.id).set_parked(false);
 }
 
 ResourceManager::AppRecord* ResourceManager::app(AppId id) {
@@ -91,10 +110,7 @@ ResourceManager::AppRecord* ResourceManager::app(AppId id) {
   return it == apps_.end() ? nullptr : &it->second;
 }
 
-bool ResourceManager::app_finished(AppId id) const {
-  auto it = apps_.find(id);
-  return it == apps_.end() || it->second.finished;
-}
+bool ResourceManager::app_finished(AppId id) const { return apps_.find(id) == apps_.end(); }
 
 NodeManager& ResourceManager::node_manager(cluster::NodeId node) {
   auto it = node_managers_.find(node);
@@ -122,7 +138,7 @@ AppId ResourceManager::submit_application(std::string name, AmReadyCallback on_a
 void ResourceManager::submit_am_ask(AppId id, const char* label) {
   sim_.schedule_after(config_.rpc_latency, [this, id] {
     AppRecord* record = app(id);
-    if (record == nullptr || record->finished) return;
+    if (record == nullptr) return;
     Ask ask;
     ask.id = record->am_ask;
     ask.app = id;
@@ -131,6 +147,7 @@ void ResourceManager::submit_am_ask(AppId id, const char* label) {
     std::vector<Ask> asks{ask};
     trace_asks(sim_, asks);
     scheduler_->on_container_request(std::move(asks));
+    sync_lane();
   }, label);
 }
 
@@ -141,7 +158,7 @@ void ResourceManager::deliver_allocation(const Allocation& allocation) {
                {"vcores", allocation.container.resource.vcores},
                {"mem", allocation.container.resource.memory_mb});
   AppRecord* record = app(allocation.container.app);
-  if (record == nullptr || record->finished) {
+  if (record == nullptr) {
     // Allocation raced with app completion: hand the resources back.
     release_container(allocation.container);
     return;
@@ -155,17 +172,18 @@ void ResourceManager::deliver_allocation(const Allocation& allocation) {
         .launch_container(allocation.container,
                           [this, id, cid = allocation.container.id] {
                             AppRecord* r = app(id);
-                            if (r == nullptr || r->finished) return;
+                            if (r == nullptr) return;
                             // Stale launch: the app moved on to a new
                             // AM attempt while this JVM was coming up.
                             if (r->am_container.id != cid) return;
                             r->am_running = true;
                             LOG_INFO("rm", "app %d AM running on node %d", id,
                                      r->am_container.node);
-                            // A copy: the handler may finish the app,
-                            // which drops the record's handlers.
+                            // Copies: the handler may finish the app,
+                            // which erases the record.
                             const AmReadyCallback ready = r->on_am_ready;
-                            ready(r->am_container);
+                            const Container am = r->am_container;
+                            ready(am);
                           },
                           config_.am_init);
     return;
@@ -175,10 +193,11 @@ void ResourceManager::deliver_allocation(const Allocation& allocation) {
 
 std::vector<Allocation> ResourceManager::am_allocate(AppId id, std::vector<Ask> new_asks) {
   AppRecord* record = app(id);
-  assert(record != nullptr && !record->finished);
+  assert(record != nullptr);
   if (!new_asks.empty()) {
     trace_asks(sim_, new_asks);
     scheduler_->on_container_request(std::move(new_asks));
+    sync_lane();
   }
   // An immediate scheduler (D+) has already pushed its answers into
   // `pending` during on_container_request, so they go back in the same
@@ -197,27 +216,25 @@ void ResourceManager::release_container(const Container& container) {
                {"id", container.id}, {"app", container.app}, {"node", container.node},
                {"vcores", container.resource.vcores}, {"mem", container.resource.memory_mb});
   // The RM's schedulable view only shrinks when the NM next reports.
-  table_.add_pending_release(*state, container.resource);
+  add_pending_release(*state, container.resource);
   node_manager(container.node).stop_container(container.id);
 }
 
 void ResourceManager::finish_application(AppId id) {
-  AppRecord* record = app(id);
-  if (record == nullptr || record->finished) return;
-  record->finished = true;
-  // Nothing calls a finished app's handlers again; drop them with
-  // whatever they captured (the submission and AM-side state).
-  record->on_am_ready = nullptr;
-  record->on_container_lost = nullptr;
-  record->on_am_lost = nullptr;
-  record->on_am_failed = nullptr;
+  auto it = apps_.find(id);
+  if (it == apps_.end()) return;
+  // The record leaves the table first: from here on the app is
+  // finished for every caller (app_finished answers true for unknown
+  // ids), and its handlers go with it, with whatever they captured.
+  const AppRecord record = std::move(it->second);
+  apps_.erase(it);
   scheduler_->cancel_asks(id);
-  for (const auto& allocation : record->pending) release_container(allocation.container);
-  record->pending.clear();
-  if (record->am_running || record->am_container.id != 0) {
-    release_container(record->am_container);
+  sync_lane();
+  for (const auto& allocation : record.pending) release_container(allocation.container);
+  if (record.am_running || record.am_container.id != 0) {
+    release_container(record.am_container);
   }
-  LOG_INFO("rm", "app %d (%s) finished", id, record->name.c_str());
+  LOG_INFO("rm", "app %d (%s) finished", id, record.name.c_str());
   MRAPID_TRACE(sim_, sim::TraceCategory::kApp, "app.finished", {"app", id});
 }
 
@@ -225,21 +242,24 @@ void ResourceManager::on_nm_heartbeat(cluster::NodeId node) {
   MRAPID_TRACE(sim_, sim::TraceCategory::kHeartbeat, "nm.heartbeat", {"node", node});
   NodeState* state = node_state(node);
   assert(state != nullptr);
-  if (config_.track_liveness) {
-    last_heartbeat_[node] = sim_.now();
-    if (!state->alive) {
-      // A silent-but-running node came back. Its containers were
-      // requeued at expiry, so the resync tells the NM to discard
-      // everything and the node rejoins empty (real YARN kills
-      // unknown containers on RM resync).
-      table_.void_resources(*state);
-      table_.set_alive(*state, true);
-      node_manager(node).take_running();
-      MRAPID_TRACE(sim_, sim::TraceCategory::kFault, "node.rejoined", {"node", node});
-    }
+  if (config_.track_liveness && !state->alive) {
+    // A silent-but-running node came back. Its containers were
+    // requeued at expiry, so the resync tells the NM to discard
+    // everything and the node rejoins empty (real YARN kills
+    // unknown containers on RM resync).
+    table_.void_resources(*state);
+    table_.set_alive(*state, true);
+    node_manager(node).take_running();
+    MRAPID_TRACE(sim_, sim::TraceCategory::kFault, "node.rejoined", {"node", node});
   }
   table_.apply_pending_release(*state);
+  // This node update serves any membership flip so far.
+  refresh_due_ = false;
   scheduler_->on_node_update(node);
+  // Until something changes, this node's next beat changes nothing
+  // (the on_node_update contract in scheduler.h).
+  node_manager(node).set_parked(state->alive && state->pending_release.is_zero());
+  sync_lane();
 }
 
 void ResourceManager::expire_node(cluster::NodeId node) {
@@ -248,6 +268,11 @@ void ResourceManager::expire_node(cluster::NodeId node) {
   if (!state->alive) return;
   table_.set_alive(*state, false);
   table_.record_failure(*state);
+  // The flip reaches the scheduler at the next beat of any node, and
+  // this node's own next beat rejoins it.
+  refresh_due_ = true;
+  node_manager(node).set_parked(false);
+  sync_lane();
   LOG_INFO("rm", "node %d expired (failure #%d)", node, state->failures);
   MRAPID_TRACE(sim_, sim::TraceCategory::kFault, "node.expired", {"node", node},
                {"failures", state->failures});
@@ -264,7 +289,7 @@ void ResourceManager::expire_node(cluster::NodeId node) {
   std::vector<Container> lost_ams;
   for (const Container& container : lost) {
     const AppRecord* record = app(container.app);
-    if (record != nullptr && !record->finished && record->am_container.id == container.id) {
+    if (record != nullptr && record->am_container.id == container.id) {
       lost_ams.push_back(container);
     } else {
       notify_container_lost(container);
@@ -283,14 +308,14 @@ void ResourceManager::notify_container_lost(const Container& container) {
   MRAPID_TRACE(sim_, sim::TraceCategory::kContainer, "container.lost",
                {"id", container.id}, {"app", container.app}, {"node", container.node});
   AppRecord* record = app(container.app);
-  if (record == nullptr || record->finished || !record->on_container_lost) return;
+  if (record == nullptr || !record->on_container_lost) return;
   const auto on_lost = record->on_container_lost;  // may finish the app
   on_lost(container);
 }
 
 void ResourceManager::handle_am_loss(const Container& container) {
   AppRecord* record = app(container.app);
-  if (record == nullptr || record->finished) return;
+  if (record == nullptr) return;
   LOG_INFO("rm", "app %d lost its AM (attempt %d) on node %d", record->id,
            record->am_attempts, container.node);
   MRAPID_TRACE(sim_, sim::TraceCategory::kFault, "am.lost", {"app", record->id},
@@ -299,11 +324,16 @@ void ResourceManager::handle_am_loss(const Container& container) {
   record->am_container = Container{};
   // Everything the dead AM asked for or had not yet picked up is void.
   scheduler_->cancel_asks(record->id);
+  sync_lane();
   for (const auto& allocation : record->pending) release_container(allocation.container);
   record->pending.clear();
   if (record->on_am_lost) {
+    const AppId id = record->id;
     const auto on_lost = record->on_am_lost;  // a copy, as in notify_container_lost
     on_lost();
+    // The handler may have finished the app: then no AM restarts.
+    record = app(id);
+    if (record == nullptr) return;
   }
   if (record->am_attempts >= config_.am_max_attempts) {
     MRAPID_TRACE(sim_, sim::TraceCategory::kApp, "app.am_failed", {"app", record->id},
@@ -332,7 +362,7 @@ void ResourceManager::report_launch_failure(const Container& container) {
     table_.uncharge(*state, container.resource);
   }
   AppRecord* record = app(container.app);
-  if (record != nullptr && !record->finished && record->am_container.id == container.id) {
+  if (record != nullptr && record->am_container.id == container.id) {
     mark_terminal_and_notify(container);
     MRAPID_TRACE(sim_, sim::TraceCategory::kContainer, "container.lost",
                  {"id", container.id}, {"app", container.app}, {"node", container.node});
@@ -344,21 +374,16 @@ void ResourceManager::report_launch_failure(const Container& container) {
 
 void ResourceManager::set_container_lost_handler(AppId id,
                                                  std::function<void(const Container&)> handler) {
-  AppRecord* record = app(id);
-  assert(record != nullptr);
-  record->on_container_lost = std::move(handler);
+  // A finished app's handlers are never called.
+  if (AppRecord* record = app(id)) record->on_container_lost = std::move(handler);
 }
 
 void ResourceManager::set_am_lost_handler(AppId id, std::function<void()> handler) {
-  AppRecord* record = app(id);
-  assert(record != nullptr);
-  record->on_am_lost = std::move(handler);
+  if (AppRecord* record = app(id)) record->on_am_lost = std::move(handler);
 }
 
 void ResourceManager::set_am_failure_handler(AppId id, std::function<void()> handler) {
-  AppRecord* record = app(id);
-  assert(record != nullptr);
-  record->on_am_failed = std::move(handler);
+  if (AppRecord* record = app(id)) record->on_am_failed = std::move(handler);
 }
 
 void ResourceManager::kill_container(const Container& container) {
@@ -368,11 +393,10 @@ void ResourceManager::kill_container(const Container& container) {
   node_manager(container.node).stop_container(container.id);
   NodeState* state = node_state(container.node);
   if (state != nullptr && state->alive) {
-    table_.add_pending_release(*state, container.resource);
+    add_pending_release(*state, container.resource);
   }
   AppRecord* record = app(container.app);
-  const bool is_am = record != nullptr && !record->finished &&
-                     record->am_container.id == container.id;
+  const bool is_am = record != nullptr && record->am_container.id == container.id;
   if (is_am) {
     if (mark_terminal_and_notify(container)) {
       MRAPID_TRACE(sim_, sim::TraceCategory::kContainer, "container.lost",
@@ -387,7 +411,7 @@ void ResourceManager::kill_container(const Container& container) {
 std::vector<Container> ResourceManager::running_am_containers() const {
   std::vector<Container> out;
   for (const auto& [id, record] : apps_) {
-    if (!record.finished && record.am_running) out.push_back(record.am_container);
+    if (record.am_running) out.push_back(record.am_container);
   }
   std::sort(out.begin(), out.end(),
             [](const Container& a, const Container& b) { return a.app < b.app; });

@@ -12,6 +12,15 @@
 //   scheduler new asks are answered no earlier than the *next*
 //   heartbeat after an NM reported in — the >= 2-heartbeat path the
 //   paper's Figure 2 describes.
+//
+// Idle heartbeats cost nothing: every NodeManager is a member of the
+// simulation's periodic lane (sim/periodic_lane.h). The RM parks a node
+// whose next beat can change nothing — alive, nothing to release — and
+// keeps the lane awake only while an ask is queued, a membership flip
+// has not yet reached the scheduler, or a tracer records heartbeats
+// (sync_lane). Parked beats are then counted, not dispatched; the
+// on_node_update contract in yarn/scheduler.h is what makes that exact
+// (DESIGN.md §5).
 
 #include <functional>
 #include <memory>
@@ -84,7 +93,10 @@ class ResourceManager : public SchedulerContext {
   Scheduler& scheduler() { return *scheduler_; }
   const YarnConfig& config() const { return config_; }
   cluster::Cluster& cluster() { return cluster_; }
+  // True for any id without a live application: finished apps keep no
+  // record.
   bool app_finished(AppId app) const;
+  std::size_t live_apps() const { return apps_.size(); }
   std::vector<NodeState>& nodes() { return table_.states(); }
 
   // ---- SchedulerContext -------------------------------------------
@@ -99,12 +111,11 @@ class ResourceManager : public SchedulerContext {
   sim::Simulation& simulation() override { return sim_; }
 
  private:
-  // One per application ever submitted. Finished records stay (their
-  // id answers app_finished()) but drop their handlers.
+  // One per live application; finish_application erases it, so the RM
+  // holds O(live apps) however long the stream.
   struct AppRecord {
     AppId id = kInvalidApp;
     std::string name;
-    bool finished = false;
     AskId am_ask = 0;
     bool am_running = false;
     Container am_container;
@@ -120,7 +131,15 @@ class ResourceManager : public SchedulerContext {
   void submit_am_ask(AppId id, const char* label);
   void notify_container_lost(const Container& container);
   void handle_am_loss(const Container& container);
+  void schedule_liveness_check();
   void liveness_check();
+  // Wakes the periodic lane while a beat can change something (asks
+  // queued, a membership flip not yet seen by the scheduler, or a
+  // tracer recording heartbeats) and lets it sleep otherwise.
+  void sync_lane();
+  // pending_release += amount, unparking the node: its next beat frees
+  // the resources.
+  void add_pending_release(NodeState& state, Resource amount);
   // A container's terminal transition (released or lost) must happen
   // exactly once, however many recovery paths race to report it — a
   // node expiry, an in-flight launch-failure RPC and an AM teardown
@@ -151,7 +170,9 @@ class ResourceManager : public SchedulerContext {
   std::unordered_set<ContainerId> live_containers_;  // minted, not yet terminal
   AskId next_ask_id_ = 1;
   bool started_ = false;
-  DenseNodeMap<sim::SimTime> last_heartbeat_;
+  // Set by a membership flip (boot, expiry, blacklisting) until the
+  // next beat's on_node_update refreshes the scheduler's view.
+  bool refresh_due_ = false;
   sim::EventId liveness_event_{};
 };
 

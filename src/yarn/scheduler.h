@@ -85,6 +85,16 @@ class Scheduler {
 
   // NODE_STATUS_UPDATE: an NM reported in; its lagged resource view
   // has just been refreshed.
+  //
+  // Contract: with no asks queued (queued_asks() == 0) and node
+  // membership (alive / blacklisted) unchanged since the previous
+  // call, this call changes nothing. The RM relies on it to skip such
+  // beats: a node that is alive with nothing to release is parked in
+  // the simulation's periodic lane, and its beats are counted instead
+  // of dispatched while no ask waits (yarn/resource_manager.h). All
+  // five registered policies hold it: each serves only queued asks,
+  // and PolicyScheduler's per-update refresh of the wait estimator's
+  // server count reads membership alone.
   virtual void on_node_update(cluster::NodeId node) = 0;
 
   // Drop any still-queued asks of a finished/killed app.

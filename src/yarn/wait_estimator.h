@@ -56,6 +56,7 @@ class WaitingTimeEstimator {
   double predicted_wait_s() const;
 
   // Introspection (shootout tables, tests).
+  int servers() const { return servers_; }
   std::size_t arrivals() const { return arrivals_; }
   std::size_t waits_observed() const { return waits_; }
   std::size_t services_observed() const { return services_; }

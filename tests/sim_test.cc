@@ -217,49 +217,53 @@ TEST(SimulationTest, ProcessedEventsAccumulates) {
 }
 
 TEST(SimulationTest, MergedTimerAndQueueDispatchFollowsSchedulingOrder) {
-  // Timers live in the wheel and plain events in the queue; run_until
-  // must merge them as one queue ordered by (time, order of
-  // scheduling) would. The oracle records every schedule call with a
-  // running counter, drops the cancelled timer, and sorts.
+  // Beats live in the periodic lane and plain events in the queue;
+  // run_until must merge them as one queue ordered by (time, order of
+  // scheduling) would. A beat's successor is scheduled when its
+  // callback returns. The oracle records every schedule call with a
+  // running counter, drops the member that leaves before its first
+  // beat, and sorts.
   using Entry = std::tuple<std::int64_t, int, int>;  // (time us, order, tag)
   Simulation sim(0xBEEF);
+  const SimDuration period = SimDuration::micros(1000);
   std::vector<Entry> scheduled;
   std::vector<std::pair<std::int64_t, int>> fired;
   int order = 0;
-  auto note = [&](SimDuration delay, int tag) {
-    scheduled.emplace_back((sim.now() + delay).as_micros(), order++, tag);
-  };
+  auto note = [&](SimTime at, int tag) { scheduled.emplace_back(at.as_micros(), order++, tag); };
 
+  std::vector<Simulation::LaneMember> members(5);
   int next_tag = 1000;
-  std::function<void(int)> beat = [&](int id) {
+  auto beat = [&](int id) {
     fired.emplace_back(sim.now().as_micros(), id);
-    if (sim.now() < SimTime::from_micros(50'000)) {
-      // Same-instant tie on purpose: a timer and a plain event both
-      // land 1 ms from now, distinguished only by scheduling order.
-      const SimDuration period = SimDuration::micros(1000);
-      note(period, id);
-      sim.schedule_timer(period, [&beat, id] { beat(id); });
-      const int tag = next_tag++;
-      note(period, tag);
-      sim.schedule_after(period, [&fired, &sim, tag] {
-        fired.emplace_back(sim.now().as_micros(), tag);
-      });
+    if (sim.now() >= SimTime::from_micros(50'000)) {
+      sim.leave_lane(members[id]);
+      return;
     }
+    // Same-instant tie on purpose: a plain event and the beat's
+    // successor both land 1 ms from now, distinguished only by
+    // scheduling order (the plain event first).
+    const int tag = next_tag++;
+    note(sim.now() + period, tag);
+    sim.schedule_after(period, [&fired, &sim, tag] {
+      fired.emplace_back(sim.now().as_micros(), tag);
+    });
+    note(sim.now() + period, id);
   };
   for (int n = 0; n < 5; ++n) {
-    note(SimDuration::micros(100 * n), n);
-    sim.schedule_timer(SimDuration::micros(100 * n), [&beat, n] { beat(n); });
+    const SimTime first = SimTime::from_micros(100 * n);
+    note(first, n);
+    members[n] = sim.join_lane(period, first, [&beat, n] { beat(n); });
   }
-  // A timer cancelled before it fires must never dispatch. It still
-  // takes its place in the scheduling order, so it is noted (and then
-  // dropped) like any other.
-  note(SimDuration::micros(777), -1);
-  const EventId doomed =
-      sim.schedule_timer(SimDuration::micros(777), [&fired] { fired.emplace_back(-1, -1); });
-  note(SimDuration::micros(500), -2);
+  // A member that leaves before its first beat must never dispatch. Its
+  // join still takes its place in the scheduling order, so it is noted
+  // (and then dropped) like any other.
+  note(SimTime::from_micros(777), -1);
+  const Simulation::LaneMember doomed = sim.join_lane(
+      period, SimTime::from_micros(777), [&fired] { fired.emplace_back(-1, -1); });
+  note(SimTime::from_micros(500), -2);
   sim.schedule_after(SimDuration::micros(500), [&sim, &fired, doomed] {
     fired.emplace_back(sim.now().as_micros(), -2);
-    EXPECT_TRUE(sim.cancel(doomed));
+    EXPECT_TRUE(sim.leave_lane(doomed));
   });
   sim.run_until(SimTime::from_micros(60'000));
 
@@ -269,6 +273,7 @@ TEST(SimulationTest, MergedTimerAndQueueDispatchFollowsSchedulingOrder) {
   for (const auto& [time, seq, tag] : scheduled) expected.emplace_back(time, tag);
   ASSERT_GT(expected.size(), 200u);
   EXPECT_EQ(fired, expected);
+  EXPECT_TRUE(sim.idle());
 }
 
 // ---- bandwidth -------------------------------------------------------

@@ -331,6 +331,8 @@ TEST(TenantStreamMemory, LongStreamKeepsFinishedJobsFreed) {
     const std::size_t pool = static_cast<std::size_t>(config.framework.pool_size);
     EXPECT_LE(max_live, cap + pool) << name;
     EXPECT_LE(world.client().slots().live(), pool) << name;
+    // The RM keeps a record per live application only.
+    EXPECT_LE(world.rm().live_apps(), cap + pool) << name;
   }
 }
 

@@ -8,6 +8,7 @@
 
 #include "cluster/azure.h"
 #include "cluster/cluster.h"
+#include "sim/trace.h"
 #include "yarn/capacity_scheduler.h"
 #include "yarn/resource_manager.h"
 
@@ -214,6 +215,45 @@ TEST_F(YarnFixture, HeartbeatsAreStaggeredAcrossWorkers) {
   rm_->submit_application("x", [&](const Container&) { am_ready = sim_.now().as_seconds(); });
   sim_.run_until(sim::SimTime::from_seconds(10));
   EXPECT_LT(am_ready, 4.2);
+}
+
+TEST_F(YarnFixture, MembershipFlipReachesSchedulerAtNextBeat) {
+  // An idle cluster: every node is parked and no ask waits, so beats
+  // are counted, not dispatched. A membership flip must still reach
+  // the scheduler at the very next beat of any node, as it would if
+  // every beat were dispatched: here node 2's, 250 ms after node 1's.
+  sim_.run_until(sim::SimTime::from_seconds(5.0));  // node 1 just beat
+  const WaitingTimeEstimator* estimator = rm_->scheduler().wait_estimator();
+  ASSERT_NE(estimator, nullptr);
+  const int vcores = rm_->node_manager(1).capacity().vcores;
+  EXPECT_EQ(estimator->servers(), 4 * vcores);
+  const std::uint64_t dispatched = sim_.wheel_stats().fired;
+  rm_->expire_node(1);
+  sim_.run_until(sim::SimTime::from_seconds(5.3));
+  EXPECT_EQ(estimator->servers(), 3 * vcores);
+  EXPECT_EQ(sim_.wheel_stats().fired, dispatched + 1);  // node 2's beat
+  EXPECT_GT(sim_.wheel_stats().elided, 0u);
+}
+
+TEST_F(YarnFixture, TracerAttachedMidRunSeesEveryBeat) {
+  // Beats of an idle cluster are elided until a tracer that records
+  // heartbeats attaches; from then on every beat is dispatched and
+  // traced, and after it detaches the lane sleeps again.
+  sim_.run_until(sim::SimTime::from_seconds(5.1));
+  EXPECT_EQ(sim_.wheel_stats().fired, 1u);  // the first beat refreshes membership
+  sim::Tracer tracer;
+  sim_.set_tracer(&tracer);
+  sim_.run_until(sim::SimTime::from_seconds(7.1));
+  std::size_t beats = 0;
+  for (const sim::TraceEvent& event : tracer.events()) beats += event.name == "nm.heartbeat";
+  EXPECT_EQ(beats, 8u);  // 4 workers x 2 periods
+  sim_.set_tracer(nullptr);
+  const std::uint64_t elided = sim_.wheel_stats().elided;
+  sim_.run_until(sim::SimTime::from_seconds(9.1));
+  EXPECT_EQ(sim_.wheel_stats().elided, elided + 7);  // one beat wakes to learn the detach
+  // Every beat in [0, 9.1] s counted: node 1 beats at whole seconds,
+  // the others 250, 500 and 750 ms later.
+  EXPECT_EQ(sim_.processed_events(), 10u + 3 * 9);
 }
 
 }  // namespace
