@@ -115,8 +115,11 @@ echo "=== [release] determinism gate ==="
 # brute-force max-min check for the waterfill, and per-fetch
 # partitioning for the shuffle registry. The workload payload's kernels
 # are held to theirs the same way: the per-call Zipf formula for the
-# sampler, the string tokenizer for the token-id WordCount map, and the
-# Halton digit loop (memcmp) for the Pi kernel.
+# sampler, the string tokenizer for the token-id WordCount map, the
+# byte-by-byte string fold for WordCount's keyed reduce and result
+# digest (with std::string order for the 64-bit word keys, and the byte
+# loop for Fnv64's zero-byte folding), and the Halton digit loop
+# (memcmp) for the Pi kernel.
 git diff --exit-code -- tests/golden tests/regressions
 
 run_config sanitize build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMRAPID_SANITIZE=ON

@@ -7,6 +7,9 @@
 // integers and raw bytes are mixed — never floating point — so a
 // digest is stable across platforms and build modes.
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -19,15 +22,25 @@ class Fnv64 {
     const auto* bytes = static_cast<const unsigned char*>(data);
     for (std::size_t i = 0; i < size; ++i) {
       hash_ ^= bytes[i];
-      hash_ *= 0x100000001B3ull;
+      hash_ *= kPrime;
     }
     return *this;
   }
 
+  // The eight little-endian bytes of `v`. Mixing a zero byte only
+  // multiplies by the prime (h ^ 0 == h), so the run of high zero bytes
+  // folds into the multiply of the last nonzero byte, as one multiply
+  // by a power of the prime: the same value as mixing all eight bytes
+  // one by one.
   Fnv64& mix(std::uint64_t v) {
-    unsigned char bytes[8];
-    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<unsigned char>(v >> (8 * i));
-    return mix_bytes(bytes, sizeof(bytes));
+    const int bytes = std::max(1, static_cast<int>(std::bit_width(v) + 7) / 8);
+    for (int i = 0; i < bytes - 1; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xFF;
+      hash_ *= kPrime;
+    }
+    hash_ ^= v >> (8 * (bytes - 1));
+    hash_ *= kPrimePowers[9 - bytes];
+    return *this;
   }
 
   Fnv64& mix(std::int64_t v) { return mix(static_cast<std::uint64_t>(v)); }
@@ -41,6 +54,15 @@ class Fnv64 {
   std::uint64_t value() const { return hash_; }
 
  private:
+  static constexpr std::uint64_t kPrime = 0x100000001B3ull;
+  // kPrimePowers[z] = kPrime^z (mod 2^64).
+  static constexpr std::array<std::uint64_t, 9> kPrimePowers = [] {
+    std::array<std::uint64_t, 9> powers{};
+    powers[0] = 1;
+    for (std::size_t z = 1; z < powers.size(); ++z) powers[z] = powers[z - 1] * kPrime;
+    return powers;
+  }();
+
   std::uint64_t hash_ = 0xCBF29CE484222325ull;
 };
 

@@ -14,6 +14,7 @@ std::shared_ptr<const void> DatasetCache::acquire(const DatasetKey& key,
                                                   const std::function<Built()>& build) {
   std::unique_lock lock(mutex_);
   if (auto it = slots_.find(key); it != slots_.end()) {
+    ++stats_.hits;
     it->second.last_use = ++clock_;
     const std::shared_future<std::shared_ptr<const void>> ready = it->second.ready;
     lock.unlock();
@@ -22,6 +23,7 @@ std::shared_ptr<const void> DatasetCache::acquire(const DatasetKey& key,
 
   // Claim the key, then build outside the lock. An unbuilt slot is
   // never evicted, so it is still ours when the build returns.
+  ++stats_.misses;
   std::promise<std::shared_ptr<const void>> promise;
   Slot& claimed = slots_[key];
   claimed.ready = promise.get_future().share();
@@ -61,12 +63,18 @@ void DatasetCache::evict_over_budget() {
     if (oldest == slots_.end()) return;
     resident_ -= oldest->second.bytes;
     slots_.erase(oldest);
+    ++stats_.evictions;
   }
 }
 
 std::size_t DatasetCache::resident_bytes() const {
   std::lock_guard lock(mutex_);
   return resident_;
+}
+
+DatasetCache::Stats DatasetCache::stats() const {
+  std::lock_guard lock(mutex_);
+  return stats_;
 }
 
 }  // namespace mrapid::wl

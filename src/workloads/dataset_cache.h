@@ -77,6 +77,16 @@ class DatasetCache {
   // Bytes held by built entries.
   std::size_t resident_bytes() const;
 
+  // Requests answered from the cache (including those that waited for
+  // another thread's build), requests that built their dataset, and
+  // entries dropped over the budget, since the process started.
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+  };
+  Stats stats() const;
+
  private:
   struct Slot {
     std::shared_future<std::shared_ptr<const void>> ready;
@@ -91,6 +101,7 @@ class DatasetCache {
   std::map<DatasetKey, Slot> slots_;
   std::size_t resident_ = 0;
   std::uint64_t clock_ = 0;
+  Stats stats_;
 };
 
 }  // namespace mrapid::wl

@@ -10,42 +10,38 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "workloads/word_key.h"
 
 namespace mrapid::wl {
 
 // The words of one generator identity (seed, size, zipf_s), plus the
 // canonical ids WordCount counts with: ranks whose spellings collide
 // share an id, and ids number the distinct spellings in lexicographic
-// order.
+// order. Words are held only as packed keys (word_key.h), one per id.
 class Vocabulary {
  public:
   Vocabulary(std::uint64_t seed, std::size_t size, double zipf_s);
 
-  std::size_t size() const { return words_.size(); }
-  const std::string& word(std::size_t rank) const { return words_[rank]; }
+  std::size_t size() const { return ids_.size(); }
   std::size_t length(std::size_t rank) const { return lengths_[rank]; }
   const ZipfSampler& sampler() const { return sampler_; }
 
   std::uint32_t id(std::size_t rank) const { return ids_[rank]; }
-  std::size_t distinct() const { return spelling_rank_.size(); }
-  const std::string& spelling(std::uint32_t id) const { return words_[spelling_rank_[id]]; }
-  // The id spelled `text`, if any.
-  std::optional<std::uint32_t> find(std::string_view text) const;
+  std::size_t distinct() const { return keys_.size(); }
+  // The key of canonical id `id`; keys ascend with ids.
+  WordKey key(std::uint32_t id) const { return keys_[id]; }
 
   std::size_t footprint_bytes() const;
 
  private:
-  std::vector<std::string> words_;  // by rank; every word fits the SSO buffer
-  std::vector<std::uint8_t> lengths_;
-  std::vector<std::uint32_t> ids_;            // rank -> canonical id
-  std::vector<std::uint32_t> spelling_rank_;  // id -> lowest rank spelling it
+  std::vector<std::uint8_t> lengths_;  // by rank
+  std::vector<std::uint32_t> ids_;     // rank -> canonical id
+  std::vector<WordKey> keys_;          // canonical id -> key
   ZipfSampler sampler_;
 };
 

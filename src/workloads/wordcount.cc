@@ -1,10 +1,13 @@
 #include "workloads/wordcount.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
+#include <span>
 
 #include "common/hash.h"
+#include "common/rng.h"
 
 namespace mrapid::wl {
 
@@ -28,16 +31,77 @@ std::string input_path(const WordCountParams& params, std::size_t index) {
   return input_dir(params) + buf;
 }
 
+// A tally by canonical id that is all zero between calls, with one bit
+// per id marking the ids counted so far. Each thread keeps one, so a
+// map touches only the ids its split holds and costs O(tokens), not
+// O(vocabulary).
+struct IdTally {
+  std::vector<std::int64_t> counts;  // by id
+  std::vector<std::uint64_t> seen;   // id's bit is bit id % 64 of seen[id / 64]
+};
+
+// This thread's tally, sized for `distinct` ids, for one count_range
+// call; zeroes what it counted when it goes, also on an exception.
+class TallyLease {
+ public:
+  explicit TallyLease(std::size_t distinct)
+      : tally_(thread_tally()), words_((distinct + 63) / 64) {
+    if (tally_.counts.size() < distinct) {
+      tally_.counts.resize(distinct, 0);
+      tally_.seen.resize(words_, 0);
+    }
+  }
+  TallyLease(const TallyLease&) = delete;
+  TallyLease& operator=(const TallyLease&) = delete;
+  ~TallyLease() {
+    drain([](std::uint32_t, std::int64_t) {});
+  }
+
+  void add(std::uint32_t id) {
+    if (tally_.counts[id]++ == 0) tally_.seen[id / 64] |= std::uint64_t{1} << (id % 64);
+  }
+
+  std::size_t counted_ids() const {
+    std::size_t ids = 0;
+    for (std::size_t w = 0; w < words_; ++w) ids += std::popcount(tally_.seen[w]);
+    return ids;
+  }
+
+  // Calls emit(id, count) for every counted id in id order, zeroing
+  // the tally as it goes.
+  template <typename Emit>
+  void drain(Emit&& emit) {
+    for (std::size_t w = 0; w < words_; ++w) {
+      for (std::uint64_t bits = tally_.seen[w]; bits != 0; bits &= bits - 1) {
+        const auto id = static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits));
+        emit(id, tally_.counts[id]);
+        tally_.counts[id] = 0;
+      }
+      tally_.seen[w] = 0;
+    }
+  }
+
+ private:
+  static IdTally& thread_tally() {
+    thread_local IdTally tally;
+    return tally;
+  }
+
+  IdTally& tally_;
+  std::size_t words_;  // bitmap words covering this vocabulary's ids
+};
+
 // The counts a tokenizer gives for bytes [begin, end) of `file`. Whole
-// tokens are counted by canonical id in a dense array, whose order is
-// the words' order. A token cut by the range or by the end of the file
-// is spelled out as the fragment the tokenizer would see, and merged in
-// by spelling, since a fragment may itself be a vocabulary word.
-WordCounts count_range(const Vocabulary& vocabulary, const CorpusFile& file, Bytes begin,
-                       Bytes end) {
+// tokens are tallied by canonical id, whose order is the words' order.
+// A token cut by the range or by the end of the file is counted as the
+// fragment the tokenizer would see, inserted by key: a fragment may
+// spell a vocabulary word or none.
+KeyedCounts count_range(const Vocabulary& vocabulary, const CorpusFile& file, Bytes begin,
+                        Bytes end) {
   end = std::min(end, file.bytes);
-  std::vector<std::int64_t> tally(vocabulary.distinct(), 0);
-  std::vector<std::string> fragments;
+  TallyLease tally(vocabulary.distinct());
+  WordKey fragments[2];  // only the first and the last token can be cut
+  std::size_t cut = 0;
   // Seek to the last checkpoint at or before `begin`.
   const auto after = static_cast<std::size_t>(
       std::upper_bound(file.starts.begin(), file.starts.end(), begin) - file.starts.begin());
@@ -50,76 +114,85 @@ WordCounts count_range(const Vocabulary& vocabulary, const CorpusFile& file, Byt
     const Bytes hi = std::min(pos + length, end);
     if (lo < hi) {
       if (lo == pos && hi == pos + length) {
-        ++tally[vocabulary.id(rank)];
+        tally.add(vocabulary.id(rank));
       } else {
-        fragments.push_back(vocabulary.word(rank).substr(static_cast<std::size_t>(lo - pos),
-                                                         static_cast<std::size_t>(hi - lo)));
+        assert(cut < 2);
+        fragments[cut++] =
+            key_slice(vocabulary.key(vocabulary.id(rank)), static_cast<std::size_t>(lo - pos),
+                      static_cast<std::size_t>(hi - lo));
       }
     }
     pos += length + 1;
   }
 
-  std::vector<std::string> strangers;  // fragments that spell no vocabulary word
-  for (std::string& fragment : fragments) {
-    if (const auto id = vocabulary.find(fragment)) {
-      ++tally[*id];
-    } else {
-      strangers.push_back(std::move(fragment));
-    }
-  }
-  const auto seen =
-      std::count_if(tally.begin(), tally.end(), [](std::int64_t count) { return count > 0; });
-  WordCounts counts;
-  counts.reserve(static_cast<std::size_t>(seen) + strangers.size());
-  for (std::uint32_t id = 0; id < tally.size(); ++id) {
-    if (tally[id] > 0) counts.emplace_back(vocabulary.spelling(id), tally[id]);
-  }
-  for (std::string& stranger : strangers) {
+  KeyedCounts counts;
+  counts.reserve(tally.counted_ids() + cut);
+  tally.drain([&](std::uint32_t id, std::int64_t count) {
+    counts.push_back({vocabulary.key(id), count});
+  });
+  for (std::size_t f = 0; f < cut; ++f) {
     const auto at = std::lower_bound(
-        counts.begin(), counts.end(), stranger,
-        [](const auto& entry, const std::string& word) { return entry.first < word; });
-    if (at != counts.end() && at->first == stranger) {
-      ++at->second;
+        counts.begin(), counts.end(), fragments[f],
+        [](const KeyedCount& entry, WordKey key) { return entry.key < key; });
+    if (at != counts.end() && at->key == fragments[f]) {
+      ++at->count;
     } else {
-      counts.emplace(at, std::move(stranger), 1);
+      counts.insert(at, {fragments[f], 1});
     }
   }
   return counts;
 }
 
-// Merges runs sorted by word into one, summing the counts of equal words.
-WordCounts merge_counts(const std::vector<const WordCounts*>& runs) {
-  struct Head {
-    std::string_view word;  // of *at
-    WordCounts::const_iterator at;
-    WordCounts::const_iterator end;
-  };
-  std::vector<Head> heap;
-  std::size_t largest = 0;
-  for (const WordCounts* run : runs) {
-    if (!run->empty()) heap.push_back({run->front().first, run->begin(), run->end()});
-    largest = std::max(largest, run->size());
-  }
-  const auto later = [](const Head& a, const Head& b) { return b.word < a.word; };
-  std::make_heap(heap.begin(), heap.end(), later);
-  WordCounts merged;
-  merged.reserve(largest);
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    Head& head = heap.back();
-    if (!merged.empty() && merged.back().first == head.word) {
-      merged.back().second += head.at->second;
+// Merges two runs sorted by key, summing the counts of equal keys.
+KeyedCounts merge_two(const KeyedCounts& a, const KeyedCounts& b) {
+  KeyedCounts merged;
+  merged.reserve(a.size() + b.size());
+  auto i = a.begin();
+  auto j = b.begin();
+  while (i != a.end() && j != b.end()) {
+    if (i->key < j->key) {
+      merged.push_back(*i++);
+    } else if (j->key < i->key) {
+      merged.push_back(*j++);
     } else {
-      merged.push_back(*head.at);
-    }
-    if (++head.at != head.end) {
-      head.word = head.at->first;
-      std::push_heap(heap.begin(), heap.end(), later);
-    } else {
-      heap.pop_back();
+      merged.push_back({i->key, i->count + j->count});
+      ++i;
+      ++j;
     }
   }
+  merged.insert(merged.end(), i, a.end());
+  merged.insert(merged.end(), j, b.end());
   return merged;
+}
+
+// Merges runs sorted by key into one, pairwise in a balanced tree, so
+// each entry takes part in about log2(runs) merges.
+KeyedCounts merge_counts(std::span<const KeyedCounts* const> runs) {
+  switch (runs.size()) {
+    case 0: return {};
+    case 1: return *runs.front();
+    case 2: return merge_two(*runs[0], *runs[1]);
+    default: {
+      const std::size_t half = runs.size() / 2;
+      return merge_two(merge_counts(runs.first(half)), merge_counts(runs.subspan(half)));
+    }
+  }
+}
+
+// Folds `key`'s word into `digest` exactly as
+// digest.mix(std::string_view(word)) does: the length, then the
+// letters, decoded straight from the key.
+void mix_word(Fnv64& digest, WordKey key) {
+  const std::size_t length = key_length(key);
+  digest.mix(static_cast<std::uint64_t>(length));
+  for (std::size_t i = 0; i < length; ++i) {
+    const char letter = key_letter(key, i);
+    digest.mix_bytes(&letter, 1);
+  }
+}
+
+const KeyedCounts& keyed(const std::shared_ptr<const void>& data) {
+  return *static_cast<const KeyedCounts*>(data.get());
 }
 
 }  // namespace
@@ -155,11 +228,10 @@ std::vector<std::string> WordCount::stage(hdfs::Hdfs& hdfs) {
   return paths;
 }
 
-Bytes WordCount::serialized_size(const WordCounts& counts) {
+Bytes WordCount::serialized_size(const KeyedCounts& counts) {
   Bytes total = 0;
-  for (const auto& [word, count] : counts) {
-    (void)count;
-    total += static_cast<Bytes>(word.size()) + kPairOverhead;
+  for (const KeyedCount& entry : counts) {
+    total += static_cast<Bytes>(key_length(entry.key)) + kPairOverhead;
   }
   return total;
 }
@@ -177,23 +249,20 @@ mr::MapOutcome WordCount::execute_map(const mr::InputSplit& split) const {
       generator_.file(params_.bytes_per_file, file_index);
 
   assert(split.offset + split.length <= file->bytes + 1);
-  auto counts = std::make_shared<WordCounts>(count_range(
+  auto counts = std::make_shared<const KeyedCounts>(count_range(
       generator_.vocabulary(), *file, split.offset, split.offset + split.length));
 
   mr::MapOutcome outcome;
   std::int64_t tokens = 0;
-  for (const auto& [word, count] : *counts) {
-    (void)word;
-    tokens += count;
-  }
+  for (const KeyedCount& entry : *counts) tokens += entry.count;
   if (params_.use_combiner) {
     outcome.output_bytes = serialized_size(*counts);
     outcome.output_records = static_cast<std::int64_t>(counts->size());
   } else {
     // Raw (word, 1) pairs: one record per token.
     Bytes raw = 0;
-    for (const auto& [word, count] : *counts) {
-      raw += count * (static_cast<Bytes>(word.size()) + kPairOverhead);
+    for (const KeyedCount& entry : *counts) {
+      raw += entry.count * (static_cast<Bytes>(key_length(entry.key)) + kPairOverhead);
     }
     outcome.output_bytes = raw;
     outcome.output_records = tokens;
@@ -205,39 +274,51 @@ mr::MapOutcome WordCount::execute_map(const mr::InputSplit& split) const {
 }
 
 mr::ReduceOutcome WordCount::execute_reduce(std::span<const mr::MapOutcome> maps) const {
-  std::vector<const WordCounts*> runs;
+  std::vector<const KeyedCounts*> runs;
+  std::shared_ptr<const void> merged;
   Bytes shuffled = 0;
   for (const auto& map : maps) {
     shuffled += map.output_bytes;
-    if (map.data) runs.push_back(std::static_pointer_cast<const WordCounts>(map.data).get());
+    if (map.data) {
+      runs.push_back(&keyed(map.data));
+      merged = map.data;
+    }
   }
-  auto merged = std::make_shared<WordCounts>(merge_counts(runs));
+  // A single run is already the answer; share it rather than copy it.
+  if (runs.size() != 1) merged = std::make_shared<const KeyedCounts>(merge_counts(runs));
   mr::ReduceOutcome outcome;
-  outcome.output_bytes = serialized_size(*merged);
+  outcome.output_bytes = serialized_size(keyed(merged));
   outcome.core_seconds = params_.reduce_throughput.seconds_for(shuffled);
-  outcome.result = merged;
+  outcome.result = std::move(merged);
   return outcome;
 }
 
 std::vector<mr::MapOutcome> WordCount::partition_map_output(const mr::MapOutcome& outcome,
                                                             int reducers) const {
   if (reducers <= 1) return mr::JobLogic::partition_map_output(outcome, reducers);
-  std::vector<std::shared_ptr<WordCounts>> shards(static_cast<std::size_t>(reducers));
-  for (auto& shard : shards) shard = std::make_shared<WordCounts>();
+  const auto r_count = static_cast<std::size_t>(reducers);
+  std::vector<KeyedCounts> shards(r_count);
   if (outcome.data) {
-    // Appending in word order keeps every shard sorted.
-    const auto& counts = *std::static_pointer_cast<const WordCounts>(outcome.data);
-    for (const auto& [word, count] : counts) {
-      const auto r = stable_hash64(word) % static_cast<std::uint64_t>(reducers);
-      shards[static_cast<std::size_t>(r)]->emplace_back(word, count);
+    // Each word goes to stable_hash64(spelling) mod R, like Hadoop's
+    // HashPartitioner. Sizing the shards first keeps them exact, and
+    // appending in key order keeps every shard sorted.
+    const KeyedCounts& counts = keyed(outcome.data);
+    std::vector<std::uint32_t> target(counts.size());
+    std::vector<std::size_t> sizes(r_count, 0);
+    char letters[kMaxKeyLetters];
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      const std::string_view word(letters, spell_key(counts[i].key, letters));
+      target[i] = static_cast<std::uint32_t>(stable_hash64(word) % r_count);
+      ++sizes[target[i]];
     }
+    for (std::size_t r = 0; r < r_count; ++r) shards[r].reserve(sizes[r]);
+    for (std::size_t i = 0; i < counts.size(); ++i) shards[target[i]].push_back(counts[i]);
   }
-  std::vector<mr::MapOutcome> out(static_cast<std::size_t>(reducers));
-  for (int r = 0; r < reducers; ++r) {
-    auto& shard = shards[static_cast<std::size_t>(r)];
-    out[static_cast<std::size_t>(r)].output_bytes = serialized_size(*shard);
-    out[static_cast<std::size_t>(r)].output_records = static_cast<std::int64_t>(shard->size());
-    out[static_cast<std::size_t>(r)].data = shard;
+  std::vector<mr::MapOutcome> out(r_count);
+  for (std::size_t r = 0; r < r_count; ++r) {
+    out[r].output_bytes = serialized_size(shards[r]);
+    out[r].output_records = static_cast<std::int64_t>(shards[r].size());
+    out[r].data = std::make_shared<const KeyedCounts>(std::move(shards[r]));
   }
   return out;
 }
@@ -253,14 +334,24 @@ std::uint64_t WordCount::result_digest(const mr::JobResult& result) const {
       digest.mix(std::string_view("<null partition>"));
       continue;
     }
-    const auto& counts = *std::static_pointer_cast<const WordCounts>(erased);
+    const KeyedCounts& counts = keyed(erased);
     digest.mix(static_cast<std::uint64_t>(counts.size()));
-    for (const auto& [word, count] : counts) {
-      digest.mix(std::string_view(word));
-      digest.mix(count);
+    for (const KeyedCount& entry : counts) {
+      mix_word(digest, entry.key);
+      digest.mix(entry.count);
     }
   }
   return digest.value();
+}
+
+WordCounts WordCount::counts_of(const std::shared_ptr<const void>& data) {
+  WordCounts counts;
+  if (!data) return counts;
+  counts.reserve(keyed(data).size());
+  for (const KeyedCount& entry : keyed(data)) {
+    counts.emplace_back(key_string(entry.key), entry.count);
+  }
+  return counts;
 }
 
 WordCounts WordCount::reference_counts() const {

@@ -6,6 +6,12 @@
 // the split's text would (tokenize_into is the oracle), so word totals
 // are verifiable against the generator, and the measured intermediate
 // sizes drive the simulator.
+//
+// Words travel through map output, partitioning, shuffle and reduce as
+// packed 64-bit keys (word_key.h), which order and compare exactly as
+// the spellings do. Spellings are decoded only where they are needed:
+// the partitioner's hash, the result digest and the materialised
+// WordCounts that tests compare.
 
 #include <cstdint>
 #include <map>
@@ -17,12 +23,21 @@
 #include <vector>
 
 #include "workloads/textgen.h"
+#include "workloads/word_key.h"
 #include "workloads/workload.h"
 
 namespace mrapid::wl {
 
-// Intermediate and final data type: (word, count) pairs sorted by
-// word, each word once.
+// Intermediate and final data type: (key, count) pairs sorted by key,
+// each word once.
+struct KeyedCount {
+  WordKey key = 0;
+  std::int64_t count = 0;
+};
+using KeyedCounts = std::vector<KeyedCount>;
+
+// The same data with the words spelled out: (word, count) pairs sorted
+// by word.
 using WordCounts = std::vector<std::pair<std::string, std::int64_t>>;
 
 // The string-keyed tally the tokenizer oracle fills.
@@ -74,12 +89,16 @@ class WordCount : public Workload {
   // Ground truth for tests: tokenise the text of every file directly.
   WordCounts reference_counts() const;
 
+  // A map output, shard or reduce result of this workload with its
+  // words spelled out.
+  static WordCounts counts_of(const std::shared_ptr<const void>& data);
+  // Reducer 0's output, spelled out.
   static std::shared_ptr<const WordCounts> result_of(const mr::JobResult& result) {
-    return std::static_pointer_cast<const WordCounts>(result.reduce_result);
+    return std::make_shared<const WordCounts>(counts_of(result.reduce_result));
   }
 
  private:
-  static Bytes serialized_size(const WordCounts& counts);
+  static Bytes serialized_size(const KeyedCounts& counts);
 
   WordCountParams params_;
   TextGenerator generator_;

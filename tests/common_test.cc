@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/hash.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "common/stats.h"
@@ -194,6 +195,45 @@ TEST(Rng, ForkIsDeterministic) {
 TEST(Rng, StableHashIsStable) {
   EXPECT_EQ(stable_hash64("mrapid"), stable_hash64("mrapid"));
   EXPECT_NE(stable_hash64("mrapid"), stable_hash64("mrapie"));
+}
+
+// ---- digest accumulator -----------------------------------------------
+
+// Fnv64::mix(uint64) folds the high zero bytes into one multiply; it
+// must equal mixing all eight little-endian bytes one by one.
+void mix_byte_loop(Fnv64& h, std::uint64_t v) {
+  unsigned char bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<unsigned char>(v >> (8 * i));
+  h.mix_bytes(bytes, sizeof(bytes));
+}
+
+TEST(Fnv64, MixFoldsZeroBytesExactly) {
+  std::vector<std::uint64_t> values = {0, UINT64_MAX};
+  for (int k = 1; k < 8; ++k) {
+    const std::uint64_t boundary = std::uint64_t{1} << (8 * k);
+    values.push_back(boundary - 1);
+    values.push_back(boundary);
+  }
+  RngStream rng(2024, "fnv-fold");
+  for (int i = 0; i < 100000; ++i) {
+    // Random widths, so every count of high zero bytes is drawn.
+    const int width = static_cast<int>(rng.next_int(0, 64));
+    const std::uint64_t v = rng.next_u64();
+    values.push_back(width == 64 ? v : v & ((std::uint64_t{1} << width) - 1));
+  }
+  Fnv64 folded_chain;
+  Fnv64 byte_chain;
+  for (const std::uint64_t v : values) {
+    Fnv64 folded;
+    Fnv64 byte_wise;
+    folded.mix(v);
+    mix_byte_loop(byte_wise, v);
+    ASSERT_EQ(folded.value(), byte_wise.value()) << "v = " << v;
+    // Chained, as a digest mixes them.
+    folded_chain.mix(v);
+    mix_byte_loop(byte_chain, v);
+  }
+  EXPECT_EQ(folded_chain.value(), byte_chain.value());
 }
 
 // ---- stats ---------------------------------------------------------

@@ -50,12 +50,12 @@ TEST(Partitioner, WordCountHashCoversAllWordsDisjointly) {
   const auto shards = wc.partition_map_output(outcome, 4);
   ASSERT_EQ(shards.size(), 4u);
 
-  const auto& full_counts = *std::static_pointer_cast<const wl::WordCounts>(outcome.data);
+  const auto full_counts = wl::WordCount::counts_of(outcome.data);
   const wl::WordTally full(full_counts.begin(), full_counts.end());
   std::size_t words = 0;
   Bytes bytes = 0;
   for (const auto& shard : shards) {
-    const auto& counts = *std::static_pointer_cast<const wl::WordCounts>(shard.data);
+    const auto counts = wl::WordCount::counts_of(shard.data);
     EXPECT_TRUE(std::is_sorted(counts.begin(), counts.end()));
     for (const auto& [word, count] : counts) {
       EXPECT_EQ(full.at(word), count);  // counts preserved
@@ -116,7 +116,7 @@ TEST_P(MultiReducerSweep, WordCountPartitionsMergeToReference) {
 
   wl::WordTally merged;
   for (const auto& partial : result->reduce_results) {
-    const auto& counts = *std::static_pointer_cast<const wl::WordCounts>(partial);
+    const auto counts = wl::WordCount::counts_of(partial);
     for (const auto& [word, count] : counts) {
       EXPECT_EQ(merged.count(word), 0u) << "word in two partitions: " << word;
       merged[word] = count;

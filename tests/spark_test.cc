@@ -124,7 +124,7 @@ TEST(Spark, MultiPartitionShuffleWorks) {
   ASSERT_EQ(result->reduce_results.size(), 3u);
   wl::WordTally merged;
   for (const auto& partial : result->reduce_results) {
-    const auto& counts = *std::static_pointer_cast<const wl::WordCounts>(partial);
+    const auto counts = wl::WordCount::counts_of(partial);
     for (const auto& [word, count] : counts) merged[word] += count;
   }
   EXPECT_EQ(wl::sorted_counts(merged), wc.reference_counts());

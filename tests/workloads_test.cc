@@ -10,10 +10,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <set>
+#include <string_view>
 #include <thread>
 #include <tuple>
 
 #include "cluster/azure.h"
+#include "common/hash.h"
+#include "common/rng.h"
 #include "harness/world.h"
 #include "mapreduce/split.h"
 #include "workloads/dataset_cache.h"
@@ -78,6 +82,79 @@ TEST(TextGen, SharesOneVocabularyPerIdentity) {
   EXPECT_NE(&a.vocabulary(), &d.vocabulary());
   EXPECT_EQ(a.file(4096, 3), b.file(4096, 3));
   EXPECT_EQ(a.spell(*a.file(4096, 3)), a.generate(4096, 3));
+}
+
+// ---- word keys -------------------------------------------------------------
+
+// The vocabulary's spellings by rank, drawn exactly as Vocabulary's
+// constructor draws them: the oracle its packed keys must reproduce.
+std::vector<std::string> draw_spellings(std::uint64_t seed, std::size_t size) {
+  std::vector<std::string> words;
+  words.reserve(size);
+  RngStream rng(seed, "textgen.vocabulary");
+  for (std::size_t rank = 0; rank < size; ++rank) {
+    const std::int64_t max_len = rank < 100 ? 4 : (rank < 5000 ? 7 : 10);
+    const auto len = static_cast<std::size_t>(rng.next_int(3, max_len));
+    std::string word;
+    for (std::size_t c = 0; c < len; ++c) word.push_back(static_cast<char>('a' + rng.next_int(0, 25)));
+    words.push_back(std::move(word));
+  }
+  return words;
+}
+
+TEST(WordKey, OrdersAndRoundTripsLikeSpellingsOverAVocabularyAndItsFragments) {
+  const std::uint64_t seed = 42;
+  const std::vector<std::string> words = draw_spellings(seed, 100000);
+  const Vocabulary& vocabulary = TextGenerator(seed).vocabulary();
+  ASSERT_EQ(vocabulary.size(), words.size());
+
+  // Every word, and every prefix and suffix of it, as (key, rank,
+  // first letter, length); the spelling is read back from `words`.
+  struct Piece {
+    WordKey key;
+    std::uint32_t rank;
+    std::uint8_t pos;
+    std::uint8_t len;
+  };
+  std::vector<Piece> pieces;
+  for (std::uint32_t rank = 0; rank < words.size(); ++rank) {
+    const std::string& word = words[rank];
+    const WordKey whole = word_key(word);
+    ASSERT_EQ(vocabulary.key(vocabulary.id(rank)), whole) << "rank " << rank << ": " << word;
+    for (std::size_t len = 1; len <= word.size(); ++len) {
+      for (const std::size_t pos : {std::size_t{0}, word.size() - len}) {
+        const std::string_view piece = std::string_view(word).substr(pos, len);
+        const WordKey key = word_key(piece);
+        // The slice count_range takes equals the fragment's own key,
+        // and decodes to it, length included.
+        ASSERT_EQ(key_slice(whole, pos, len), key) << word << " [" << pos << ", +" << len << ")";
+        ASSERT_EQ(key_length(key), len);
+        ASSERT_EQ(key_string(key), piece);
+        pieces.push_back({key, rank, static_cast<std::uint8_t>(pos), static_cast<std::uint8_t>(len)});
+      }
+    }
+  }
+  const auto spelling = [&words](const Piece& p) {
+    return std::string_view(words[p.rank]).substr(p.pos, p.len);
+  };
+  // Sorted by key, neighbours must compare as their spellings do: equal
+  // keys for equal spellings, a smaller key for a smaller spelling. By
+  // transitivity key order is then spelling order over every piece.
+  std::sort(pieces.begin(), pieces.end(),
+            [](const Piece& a, const Piece& b) { return a.key < b.key; });
+  for (std::size_t i = 1; i < pieces.size(); ++i) {
+    const std::string_view a = spelling(pieces[i - 1]);
+    const std::string_view b = spelling(pieces[i]);
+    if (pieces[i - 1].key == pieces[i].key) {
+      ASSERT_EQ(a, b);
+    } else {
+      ASSERT_LT(a, b);
+    }
+  }
+  // Canonical ids number the distinct spellings in order.
+  for (std::uint32_t id = 1; id < vocabulary.distinct(); ++id) {
+    ASSERT_LT(vocabulary.key(id - 1), vocabulary.key(id));
+  }
 }
 
 // ---- dataset cache -----------------------------------------------------
@@ -145,6 +222,26 @@ TEST(DatasetCache, FailedBuildLeavesNoEntry) {
   EXPECT_NE(data, nullptr);
 }
 
+TEST(DatasetCache, StatsCountHitsMissesAndEvictions) {
+  DatasetCache& cache = DatasetCache::instance();
+  const DatasetCache::Stats before = cache.stats();
+  // Two entries of just over half the budget each cannot both stay.
+  const auto build = [] {
+    return DatasetCache::Built{std::make_shared<const int>(1), DatasetCache::kBudgetBytes / 2 + 1};
+  };
+  const DatasetKey first = DatasetKey::teragen(0x57A75, 1);
+  const DatasetKey second = DatasetKey::teragen(0x57A75, 2);
+  cache.acquire(first, build);   // miss
+  cache.acquire(first, build);   // hit
+  cache.acquire(second, build);  // miss; evicts `first`
+  cache.acquire(first, build);   // miss again; evicts `second`
+  const DatasetCache::Stats after = cache.stats();
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_EQ(after.misses - before.misses, 3u);
+  // Entries other tests left behind may be evicted first.
+  EXPECT_GE(after.evictions - before.evictions, 2u);
+}
+
 // ---- tokenizer ---------------------------------------------------------
 
 TEST(Tokenizer, SplitsOnSpacesAndNewlines) {
@@ -181,7 +278,7 @@ TEST(WordCountLogic, MapCountsMatchDirectTokenization) {
   std::vector<mr::MapOutcome> outcomes;
   for (const auto& split : splits) outcomes.push_back(wc.execute_map(split));
   const auto reduced = wc.execute_reduce(outcomes);
-  const auto& merged = *std::static_pointer_cast<const WordCounts>(reduced.result);
+  const auto merged = WordCount::counts_of(reduced.result);
   EXPECT_EQ(merged, wc.reference_counts());
 }
 
@@ -252,7 +349,7 @@ void expect_map_matches_tokenizer(WordCountParams params, const std::string& tex
   for (const bool combiner : {true, false}) {
     params.use_combiner = combiner;
     const mr::MapOutcome outcome = map_range(params, offset, length);
-    const auto& counts = *std::static_pointer_cast<const WordCounts>(outcome.data);
+    const auto counts = WordCount::counts_of(outcome.data);
     ASSERT_EQ(counts, expected) << "split [" << offset << ", +" << length << ")";
     EXPECT_EQ(outcome.output_bytes, combiner ? combined_bytes : raw_bytes);
     EXPECT_EQ(outcome.output_records,
@@ -344,6 +441,149 @@ INSTANTIATE_TEST_SUITE_P(FilesAndSizes, WordCountSweep,
                                            std::make_tuple(2, 64_KB),
                                            std::make_tuple(4, 128_KB),
                                            std::make_tuple(8, 32_KB)));
+
+// ---- keyed reduce and digest against the string fold ----------------------
+
+// The digest WordCount has always folded, over spelled-out partitions,
+// byte by byte: the partition count, then per partition its size and
+// each (word, count) in word order, words length-prefixed. Keyed
+// partitions must digest to exactly this.
+std::uint64_t string_fold(const std::vector<WordCounts>& partitions) {
+  Fnv64 h;
+  const auto mix_u64 = [&h](std::uint64_t v) {
+    unsigned char bytes[8];
+    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<unsigned char>(v >> (8 * i));
+    h.mix_bytes(bytes, sizeof(bytes));
+  };
+  mix_u64(partitions.size());
+  for (const WordCounts& counts : partitions) {
+    mix_u64(counts.size());
+    for (const auto& [word, count] : counts) {
+      mix_u64(word.size());
+      h.mix_bytes(word.data(), word.size());
+      mix_u64(static_cast<std::uint64_t>(count));
+    }
+  }
+  return h.value();
+}
+
+// Checks a finished result of `wc` against the string fold and against
+// `expected` (the answer over all partitions), and that every word sits
+// in the partition the hash partitioner names.
+void expect_result_matches_string_fold(const WordCount& wc, const mr::JobResult& result,
+                                       const WordCounts& expected) {
+  std::vector<WordCounts> partitions;
+  WordTally all;
+  const auto reducers = result.reduce_results.size();
+  for (std::size_t r = 0; r < reducers; ++r) {
+    partitions.push_back(WordCount::counts_of(result.reduce_results[r]));
+    EXPECT_TRUE(std::is_sorted(partitions.back().begin(), partitions.back().end()));
+    for (const auto& [word, count] : partitions.back()) {
+      if (reducers > 1) {
+        EXPECT_EQ(stable_hash64(word) % reducers, r) << word;
+      }
+      EXPECT_TRUE(all.emplace(word, count).second) << "word in two partitions: " << word;
+    }
+  }
+  EXPECT_EQ(wc.result_digest(result), string_fold(partitions));
+  EXPECT_EQ(sorted_counts(all), expected);
+}
+
+TEST(WordCountKeyed, RandomSplitsMatchTheStringFoldAndTheTokenizer) {
+  WordCountParams params;
+  params.num_files = 1;
+  params.bytes_per_file = 16_KB;
+  params.seed = 23;
+  const std::string text = TextGenerator(params.seed).generate(params.bytes_per_file, 0);
+  const std::vector<std::string> words = draw_spellings(params.seed, params.vocabulary);
+  const std::set<std::string_view> vocabulary(words.begin(), words.end());
+  RngStream rng(9, "keyed-split-geometry");
+  int word_tails = 0;
+  int stranger_tails = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    // Consecutive splits of random lengths, many shorter than a word.
+    std::vector<std::pair<Bytes, Bytes>> splits;  // (offset, length)
+    WordTally tally;
+    for (Bytes offset = 0; offset < params.bytes_per_file;) {
+      const Bytes room = params.bytes_per_file - offset;
+      const Bytes length = std::min(room, trial % 2 == 0 ? rng.next_int(1, 40)
+                                                         : rng.next_int(1, 4_KB));
+      splits.emplace_back(offset, length);
+      tokenize_into(std::string_view(text).substr(static_cast<std::size_t>(offset),
+                                                  static_cast<std::size_t>(length)),
+                    tally);
+      // Classify the fragments this boundary cuts.
+      const auto cut = static_cast<std::size_t>(offset + length);
+      if (cut < text.size() && text[cut] != ' ' && text[cut - 1] != ' ') {
+        std::size_t lo = cut;
+        while (lo > 0 && text[lo - 1] != ' ') --lo;
+        std::size_t hi = cut;
+        while (hi < text.size() && text[hi] != ' ') ++hi;
+        for (const std::string_view fragment : {std::string_view(text).substr(lo, cut - lo),
+                                                std::string_view(text).substr(cut, hi - cut)}) {
+          ++(vocabulary.count(fragment) ? word_tails : stranger_tails);
+        }
+      }
+      offset += length;
+    }
+    const WordCounts expected = sorted_counts(tally);
+    for (const bool combiner : {true, false}) {
+      params.use_combiner = combiner;
+      WordCount wc(params);  // fresh: maps are memoised per (path, offset)
+      std::vector<mr::MapOutcome> maps;
+      for (const auto& [offset, length] : splits) {
+        mr::InputSplit split;
+        split.path = "/input/keyed/part-00000";
+        split.offset = offset;
+        split.length = length;
+        maps.push_back(wc.execute_map(split));
+      }
+      for (const int reducers : {1, 3, 7}) {
+        // shards[r][m] = map m's slice for reducer r.
+        std::vector<std::vector<mr::MapOutcome>> shards(static_cast<std::size_t>(reducers));
+        for (const mr::MapOutcome& map : maps) {
+          std::vector<mr::MapOutcome> sliced = wc.partition_map_output(map, reducers);
+          for (int r = 0; r < reducers; ++r) {
+            shards[static_cast<std::size_t>(r)].push_back(sliced[static_cast<std::size_t>(r)]);
+          }
+        }
+        mr::JobResult result;
+        for (const auto& per_reducer : shards) {
+          result.reduce_results.push_back(wc.execute_reduce(per_reducer).result);
+        }
+        SCOPED_TRACE(testing::Message() << "trial " << trial << ", combiner " << combiner
+                                        << ", reducers " << reducers);
+        expect_result_matches_string_fold(wc, result, expected);
+        if (HasFailure()) return;
+      }
+    }
+  }
+  // Cut tails both spelled vocabulary words and spelled none.
+  EXPECT_GT(word_tails, 20);
+  EXPECT_GT(stranger_tails, 20);
+}
+
+class WordCountKeyedRuns : public ::testing::TestWithParam<int> {};
+
+TEST_P(WordCountKeyedRuns, WholeRunMatchesTheStringFoldAndTheReference) {
+  const int reducers = GetParam();
+  WordCountParams params;
+  params.num_files = 3;
+  params.bytes_per_file = 256_KB;
+  WordCount wc(params);
+  for (const harness::RunMode mode : {harness::RunMode::kHadoop, harness::RunMode::kSpark}) {
+    SCOPED_TRACE(harness::run_mode_name(mode));
+    harness::WorldConfig config;
+    harness::World world(config, mode);
+    auto result = world.run(wc, [reducers](mr::JobSpec& spec) { spec.num_reducers = reducers; });
+    ASSERT_TRUE(result.has_value());
+    ASSERT_TRUE(result->succeeded);
+    ASSERT_EQ(result->reduce_results.size(), static_cast<std::size_t>(reducers));
+    expect_result_matches_string_fold(wc, *result, wc.reference_counts());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Reducers, WordCountKeyedRuns, ::testing::Values(1, 3, 7));
 
 // ---- terasort -------------------------------------------------------------
 
