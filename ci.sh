@@ -81,6 +81,16 @@ echo "=== [release] sim_core bench ==="
 build-release/bench/mrapid_bench --filter sim_core --smoke \
   --json build-release/BENCH_simcore.json > /dev/null
 
+echo "=== [release] job-count identity ==="
+# SweepRunner workers share generated inputs and memoized map outputs
+# through wl::DatasetCache. Every registered experiment's smoke JSON
+# must be byte-identical on one worker and on two (the --jobs 2 run of
+# the bench smoke step above), apart from the top-level "jobs" field
+# that records the worker count.
+build-release/bench/mrapid_bench --smoke --jobs 1 --json /tmp/smoke_jobs1.json > /dev/null
+normalise_jobs() { sed -E 's/^  "jobs": [0-9]+,$/  "jobs": N,/' "$1"; }
+diff <(normalise_jobs /tmp/smoke.json) <(normalise_jobs /tmp/smoke_jobs1.json)
+
 echo "=== [release] end-to-end benchmark check ==="
 # perfbench's own unit tests, then every workload once (--seconds 0:
 # the minimum number of processes) at the held-out seed 7. run.py exits

@@ -6,10 +6,14 @@
 #include "hdfs/hdfs.h"
 #include "mapreduce/split.h"
 #include "sim/simulation.h"
+#include "workloads/dataset_cache.h"
 
 namespace mrapid::check {
 
 std::uint64_t reference_digest(const FuzzScenario& scenario, wl::Workload& workload) {
+  // Every map is computed here, never read from the memo the runs
+  // under test share.
+  const wl::DatasetCache::DerivedBypass afresh;
   // A minimal world: just enough simulator to stage files and compute
   // splits (block placement draws from the simulation RNG, but the
   // *split geometry* — what the answer depends on — is placement

@@ -7,7 +7,10 @@
 // block size governs the split count, exactly as in a real run), maps
 // every split in index order, partitions, and reduces each partition
 // over its shards in map-index order — the same ordering
-// ReduceRunner::run_reduce_phase feeds execute_reduce. Every execution
+// ReduceRunner::run_reduce_phase feeds execute_reduce. It computes
+// every map and partition boundary itself (wl::DatasetCache's
+// DerivedBypass), so a corrupt memoized output shows up as a
+// mismatch instead of being shared by both sides. Every execution
 // mode, under every fault schedule, must reproduce this digest:
 // faults may change *when* work happens, never *what* comes out.
 

@@ -87,9 +87,8 @@ FuzzScenario generate_scenario(std::uint64_t seed);
 int min_workers(const FuzzScenario& scenario);
 
 // The workload instance for a scenario. One instance is shared across
-// all mode runs *and* the reference executor (its memoised caches make
-// that cheap, and sharing guarantees every run computes over the same
-// generated input).
+// all mode runs *and* the reference executor, so every run computes
+// over the same generated input.
 std::unique_ptr<wl::Workload> make_workload(const FuzzScenario& scenario);
 
 // The WorldConfig every mode run of this scenario uses (cluster

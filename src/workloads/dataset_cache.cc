@@ -5,6 +5,13 @@
 
 namespace mrapid::wl {
 
+namespace {
+thread_local int derived_bypasses = 0;  // DerivedBypass guards alive on this thread
+}  // namespace
+
+DatasetCache::DerivedBypass::DerivedBypass() { ++derived_bypasses; }
+DatasetCache::DerivedBypass::~DerivedBypass() { --derived_bypasses; }
+
 DatasetCache& DatasetCache::instance() {
   static DatasetCache cache;
   return cache;
@@ -12,6 +19,7 @@ DatasetCache& DatasetCache::instance() {
 
 std::shared_ptr<const void> DatasetCache::acquire(const DatasetKey& key,
                                                   const std::function<Built()>& build) {
+  if (key.derived() && derived_bypasses > 0) return build().data;
   std::unique_lock lock(mutex_);
   if (auto it = slots_.find(key); it != slots_.end()) {
     ++stats_.hits;
@@ -46,22 +54,22 @@ std::shared_ptr<const void> DatasetCache::acquire(const DatasetKey& key,
   Slot& slot = slots_.at(key);
   slot.bytes = built.bytes;
   slot.built = true;
-  resident_ += built.bytes;
-  evict_over_budget();
+  resident_[key.derived()] += built.bytes;
+  evict_over_budget(key.derived());
   return std::move(built.data);
 }
 
-void DatasetCache::evict_over_budget() {
-  while (resident_ > kBudgetBytes) {
+void DatasetCache::evict_over_budget(bool derived) {
+  while (resident_[derived] > kBudgetBytes) {
     auto oldest = slots_.end();
     for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-      if (it->second.built && (oldest == slots_.end() ||
-                               it->second.last_use < oldest->second.last_use)) {
+      if (it->second.built && it->first.derived() == derived &&
+          (oldest == slots_.end() || it->second.last_use < oldest->second.last_use)) {
         oldest = it;
       }
     }
     if (oldest == slots_.end()) return;
-    resident_ -= oldest->second.bytes;
+    resident_[derived] -= oldest->second.bytes;
     slots_.erase(oldest);
     ++stats_.evictions;
   }
@@ -69,7 +77,7 @@ void DatasetCache::evict_over_budget() {
 
 std::size_t DatasetCache::resident_bytes() const {
   std::lock_guard lock(mutex_);
-  return resident_;
+  return resident_[0] + resident_[1];
 }
 
 DatasetCache::Stats DatasetCache::stats() const {

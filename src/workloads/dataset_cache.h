@@ -1,16 +1,23 @@
 #pragma once
 
-// Process-wide cache of generated input datasets: Zipf vocabularies,
-// corpus files and TeraGen tables. Generating them is deterministic in
-// the generator's parameters, and experiment sweeps build many
-// workload instances over the same few datasets (every trial of a
-// figure, both SweepRunner workers, every mode), so each dataset is
-// built once per process and shared read-only.
+// Process-wide cache of generated input datasets (Zipf vocabularies,
+// corpus files, TeraGen tables) and of the outputs derived from them
+// (each map split's output, TeraSort's partition boundaries).
+// Generating and mapping are deterministic in their parameters, and
+// experiment sweeps build many workload instances over the same few
+// datasets and splits (every trial of a figure, both SweepRunner
+// workers, every mode), so each entry is built once per process and
+// shared read-only.
 //
-// Entries are immutable and handed out as shared_ptr<const T>. Above a
-// fixed byte budget the least recently used entries are dropped from
-// the cache; a workload that still holds one keeps it alive, and the
-// next request for that key builds it afresh (same bytes).
+// Entries are immutable and handed out as shared_ptr<const T>. Inputs
+// and derived outputs each have a fixed byte budget, and above it the
+// class's least recently used entries are dropped from the cache, so
+// a large input never pushes out the small outputs that spare
+// rebuilding it, and outputs never crowd out the inputs a sweep is
+// still mapping. A workload asks for a split's output before the
+// input it is derived from, so a memoized split never regenerates an
+// evicted input. A workload that still holds an entry keeps it alive,
+// and the next request for that key builds it afresh (same bytes).
 
 #include <bit>
 #include <compare>
@@ -24,35 +31,86 @@
 
 namespace mrapid::wl {
 
-// The full identity of one generated dataset. Fields a kind does not
-// use stay zero.
+// The full identity of one cached dataset. Fields a kind does not use
+// stay zero; a derived kind carries its input's fields too.
 struct DatasetKey {
-  enum class Kind : std::uint8_t { kVocabulary, kCorpusFile, kTeraGen };
+  enum class Kind : std::uint8_t {
+    // Generated inputs.
+    kVocabulary,
+    kCorpusFile,
+    kTeraGen,
+    // Outputs derived from an input.
+    kWordCountMap,
+    kTeraSortMap,
+    kTeraSortBounds,
+    kPiMap,
+  };
 
   Kind kind = Kind::kVocabulary;
   std::uint64_t seed = 0;
   std::uint64_t size = 0;       // vocabulary words, or TeraGen rows
   std::uint64_t zipf_bits = 0;  // the Zipf exponent's bit pattern
   std::int64_t bytes = 0;       // corpus file length
-  std::uint64_t index = 0;      // corpus file index
+  std::uint64_t index = 0;      // corpus file index, or reducer count
+  std::int64_t offset = 0;      // split offset, or the first Halton index
+  std::int64_t length = 0;      // split length, or the evaluated points
 
   static DatasetKey vocabulary(std::uint64_t seed, std::size_t words, double zipf_s) {
-    return {Kind::kVocabulary, seed, words, std::bit_cast<std::uint64_t>(zipf_s), 0, 0};
+    return {Kind::kVocabulary, seed, words, std::bit_cast<std::uint64_t>(zipf_s), 0, 0, 0, 0};
   }
   static DatasetKey corpus_file(std::uint64_t seed, std::size_t words, double zipf_s,
                                 std::int64_t bytes, std::uint64_t index) {
-    return {Kind::kCorpusFile, seed, words, std::bit_cast<std::uint64_t>(zipf_s), bytes, index};
+    return {Kind::kCorpusFile, seed, words, std::bit_cast<std::uint64_t>(zipf_s), bytes, index,
+            0, 0};
   }
   static DatasetKey teragen(std::uint64_t seed, std::int64_t rows) {
-    return {Kind::kTeraGen, seed, static_cast<std::uint64_t>(rows), 0, 0, 0};
+    return {Kind::kTeraGen, seed, static_cast<std::uint64_t>(rows), 0, 0, 0, 0, 0};
+  }
+  // WordCount's counts of bytes [offset, offset + length) of `file`.
+  static DatasetKey wordcount_map(const DatasetKey& file, std::int64_t offset,
+                                  std::int64_t length) {
+    return split_of(Kind::kWordCountMap, file, offset, length);
+  }
+  // The sorted rows of bytes [offset, offset + length) of `table`.
+  static DatasetKey terasort_map(const DatasetKey& table, std::int64_t offset,
+                                 std::int64_t length) {
+    return split_of(Kind::kTeraSortMap, table, offset, length);
+  }
+  // The boundary keys that range-partition `table` over `reducers`.
+  static DatasetKey terasort_bounds(const DatasetKey& table, int reducers) {
+    DatasetKey key = table;
+    key.kind = Kind::kTeraSortBounds;
+    key.index = static_cast<std::uint64_t>(reducers);
+    return key;
+  }
+  // The Halton points [first, first + count) that fall inside the circle.
+  static DatasetKey pi_map(std::int64_t first, std::int64_t count) {
+    DatasetKey key;
+    key.kind = Kind::kPiMap;
+    key.offset = first;
+    key.length = count;
+    return key;
   }
 
+  bool derived() const { return kind >= Kind::kWordCountMap; }
+
   auto operator<=>(const DatasetKey&) const = default;
+
+ private:
+  static DatasetKey split_of(Kind kind, const DatasetKey& input, std::int64_t offset,
+                             std::int64_t length) {
+    DatasetKey key = input;
+    key.kind = kind;
+    key.offset = offset;
+    key.length = length;
+    return key;
+  }
 };
 
 class DatasetCache {
  public:
-  // Resident bytes above which least-recently-used entries are evicted.
+  // Resident bytes of one class (inputs, or derived outputs) above
+  // which that class's least recently used entries are evicted.
   static constexpr std::size_t kBudgetBytes = std::size_t{64} << 20;
 
   // What a builder returns: the dataset and the bytes it occupies.
@@ -66,7 +124,9 @@ class DatasetCache {
   // The dataset for `key`, calling `build` on a miss. Concurrent
   // requests for one key build it once; the others wait for it. A
   // builder that throws leaves no entry behind, and every waiter sees
-  // its exception.
+  // its exception. While a DerivedBypass is alive on the calling
+  // thread, a derived key is built afresh and neither read from nor
+  // stored in the cache.
   std::shared_ptr<const void> acquire(const DatasetKey& key, const std::function<Built()>& build);
 
   template <typename T>
@@ -74,18 +134,31 @@ class DatasetCache {
     return std::static_pointer_cast<const T>(acquire(key, build));
   }
 
-  // Bytes held by built entries.
+  // Bytes held by built entries, of both classes.
   std::size_t resident_bytes() const;
 
   // Requests answered from the cache (including those that waited for
   // another thread's build), requests that built their dataset, and
-  // entries dropped over the budget, since the process started.
+  // entries dropped over the budget, since the process started. A
+  // build under a DerivedBypass counts as neither hit nor miss.
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
   };
   Stats stats() const;
+
+  // Scoped: while one is alive on a thread, that thread computes every
+  // derived output itself. The differential oracle's reference
+  // executor holds one, so the answer it judges runs by never comes
+  // from the memo those runs read.
+  class DerivedBypass {
+   public:
+    DerivedBypass();
+    ~DerivedBypass();
+    DerivedBypass(const DerivedBypass&) = delete;
+    DerivedBypass& operator=(const DerivedBypass&) = delete;
+  };
 
  private:
   struct Slot {
@@ -95,11 +168,11 @@ class DatasetCache {
     bool built = false;
   };
 
-  void evict_over_budget();  // requires mutex_
+  void evict_over_budget(bool derived);  // requires mutex_
 
   mutable std::mutex mutex_;  // guards everything below
   std::map<DatasetKey, Slot> slots_;
-  std::size_t resident_ = 0;
+  std::size_t resident_[2] = {0, 0};  // inputs, derived outputs
   std::uint64_t clock_ = 0;
   Stats stats_;
 };

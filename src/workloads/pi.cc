@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "workloads/dataset_cache.h"
 
 namespace mrapid::wl {
 
@@ -144,27 +145,35 @@ mr::MapOutcome Pi::execute_map(const mr::InputSplit& split) const {
       std::max<std::int64_t>(0, std::min(per_map, params_.total_samples - begin));
 
   // Evaluate a capped number of real points, centred on this map's
-  // range so distinct maps sample distinct Halton prefixes.
+  // range so distinct maps sample distinct Halton prefixes. The points
+  // inside are shared by every map that evaluates the same ones.
   const std::int64_t evaluated = std::min(samples, params_.fidelity_cap);
-  constexpr std::int64_t kChunk = 4096;
-  std::vector<double> xs(static_cast<std::size_t>(std::min(evaluated, kChunk)));
-  std::vector<double> ys(xs.size());
-  std::int64_t inside = 0;
-  for (std::int64_t done = 0; done < evaluated; done += kChunk) {
-    const auto n = static_cast<std::size_t>(std::min(kChunk, evaluated - done));
-    halton_points(begin + done, std::span(xs).first(n), std::span(ys).first(n));
-    for (std::size_t i = 0; i < n; ++i) {
-      const double dx = xs[i] - 0.5;
-      const double dy = ys[i] - 0.5;
-      if (dx * dx + dy * dy <= 0.25) ++inside;
-    }
+  const std::shared_ptr<const PiResult> hits = DatasetCache::instance().acquire_as<PiResult>(
+      DatasetKey::pi_map(begin, evaluated), [&] {
+        constexpr std::int64_t kChunk = 4096;
+        std::vector<double> xs(static_cast<std::size_t>(std::min(evaluated, kChunk)));
+        std::vector<double> ys(xs.size());
+        std::int64_t inside = 0;
+        for (std::int64_t done = 0; done < evaluated; done += kChunk) {
+          const auto n = static_cast<std::size_t>(std::min(kChunk, evaluated - done));
+          halton_points(begin + done, std::span(xs).first(n), std::span(ys).first(n));
+          for (std::size_t i = 0; i < n; ++i) {
+            const double dx = xs[i] - 0.5;
+            const double dy = ys[i] - 0.5;
+            if (dx * dx + dy * dy <= 0.25) ++inside;
+          }
+        }
+        auto built = std::make_shared<const PiResult>(PiResult{inside, evaluated});
+        return DatasetCache::Built{built, sizeof(PiResult)};
+      });
+  // Scale to the full per-map count (exact, and shared, when samples
+  // <= cap).
+  std::shared_ptr<const PiResult> result = hits;
+  if (evaluated != samples) {
+    result = std::make_shared<const PiResult>(
+        PiResult{(hits->inside * samples + evaluated / 2) / std::max<std::int64_t>(1, evaluated),
+                 samples});
   }
-  auto result = std::make_shared<PiResult>();
-  // Scale to the full per-map count (exact when samples <= cap).
-  result->total = samples;
-  result->inside = evaluated == samples
-                       ? inside
-                       : (inside * samples + evaluated / 2) / std::max<std::int64_t>(1, evaluated);
 
   mr::MapOutcome outcome;
   outcome.output_bytes = 24;  // (inside, outside) longs + framing

@@ -9,13 +9,19 @@
 
 namespace mrapid::wl {
 
+namespace {
+DatasetKey table_key(const TeraSortParams& params) {
+  return DatasetKey::teragen(params.seed, params.rows);
+}
+}  // namespace
+
 TeraSort::TeraSort(TeraSortParams params) : params_(params) {
   assert(params_.rows > 0 && params_.blocks > 0);
 }
 
 std::shared_ptr<const TeraRows> TeraSort::rows() const {
   return DatasetCache::instance().acquire_as<TeraRows>(
-      DatasetKey::teragen(params_.seed, params_.rows), [this] {
+      table_key(params_), [this] {
         auto rows = std::make_shared<TeraRows>();
         RngStream rng(params_.seed, "teragen");
         rows->reserve(static_cast<std::size_t>(params_.rows));
@@ -48,49 +54,55 @@ std::vector<std::string> TeraSort::stage(hdfs::Hdfs& hdfs) {
 }
 
 mr::MapOutcome TeraSort::execute_map(const mr::InputSplit& split) const {
-  if (auto it = map_cache_.find(split.offset); it != map_cache_.end()) return it->second;
-  const std::shared_ptr<const TeraRows> table = rows();
-  const TeraRows& all = *table;
   const auto first = static_cast<std::size_t>(split.offset / kRowBytes);
   const auto count = static_cast<std::size_t>(split.length / kRowBytes);
-  assert(first + count <= all.size());
-
-  auto run = std::make_shared<TeraRows>(all.begin() + static_cast<std::ptrdiff_t>(first),
-                                        all.begin() + static_cast<std::ptrdiff_t>(first + count));
-  std::sort(run->begin(), run->end());
+  // The sorted run is looked up before the table, so a memoized split
+  // never regenerates an evicted table.
+  const std::shared_ptr<const TeraRows> run = DatasetCache::instance().acquire_as<TeraRows>(
+      DatasetKey::terasort_map(table_key(params_), split.offset, split.length), [&] {
+        const std::shared_ptr<const TeraRows> table = rows();
+        const TeraRows& all = *table;
+        assert(first + count <= all.size());
+        auto built = std::make_shared<TeraRows>(
+            all.begin() + static_cast<std::ptrdiff_t>(first),
+            all.begin() + static_cast<std::ptrdiff_t>(first + count));
+        std::sort(built->begin(), built->end());
+        return DatasetCache::Built{built, built->capacity() * sizeof(TeraRow)};
+      });
 
   mr::MapOutcome outcome;
   outcome.output_bytes = static_cast<Bytes>(count) * kRowBytes;  // sort moves every byte
   outcome.output_records = static_cast<std::int64_t>(count);
   outcome.core_seconds = params_.map_sort_throughput.seconds_for(split.length);
   outcome.data = run;
-  map_cache_.emplace(split.offset, outcome);
   return outcome;
 }
 
-const std::vector<TeraRow>& TeraSort::boundaries(int reducers) const {
-  auto it = boundaries_cache_.find(reducers);
-  if (it != boundaries_cache_.end()) return it->second;
-  // Sample every k-th row (deterministic), sort the sample, pick R-1
-  // evenly spaced boundary keys — the TeraSort sampling pass.
-  const std::shared_ptr<const TeraRows> table = rows();
-  const TeraRows& all = *table;
-  TeraRows sample;
-  const std::size_t stride = std::max<std::size_t>(1, all.size() / 1024);
-  for (std::size_t i = 0; i < all.size(); i += stride) sample.push_back(all[i]);
-  std::sort(sample.begin(), sample.end());
-  std::vector<TeraRow> bounds;
-  for (int r = 1; r < reducers; ++r) {
-    bounds.push_back(sample[sample.size() * static_cast<std::size_t>(r) /
-                            static_cast<std::size_t>(reducers)]);
-  }
-  return boundaries_cache_.emplace(reducers, std::move(bounds)).first->second;
+std::shared_ptr<const TeraRows> TeraSort::boundaries(int reducers) const {
+  return DatasetCache::instance().acquire_as<TeraRows>(
+      DatasetKey::terasort_bounds(table_key(params_), reducers), [&] {
+        // Sample every k-th row (deterministic), sort the sample, pick
+        // R-1 evenly spaced boundary keys — the TeraSort sampling pass.
+        const std::shared_ptr<const TeraRows> table = rows();
+        const TeraRows& all = *table;
+        TeraRows sample;
+        const std::size_t stride = std::max<std::size_t>(1, all.size() / 1024);
+        for (std::size_t i = 0; i < all.size(); i += stride) sample.push_back(all[i]);
+        std::sort(sample.begin(), sample.end());
+        auto bounds = std::make_shared<TeraRows>();
+        for (int r = 1; r < reducers; ++r) {
+          bounds->push_back(sample[sample.size() * static_cast<std::size_t>(r) /
+                                   static_cast<std::size_t>(reducers)]);
+        }
+        return DatasetCache::Built{bounds, bounds->capacity() * sizeof(TeraRow)};
+      });
 }
 
 std::vector<mr::MapOutcome> TeraSort::partition_map_output(const mr::MapOutcome& outcome,
                                                            int reducers) const {
   if (reducers <= 1) return mr::JobLogic::partition_map_output(outcome, reducers);
-  const auto& bounds = boundaries(reducers);
+  const std::shared_ptr<const TeraRows> held_bounds = boundaries(reducers);
+  const TeraRows& bounds = *held_bounds;
   std::vector<std::shared_ptr<TeraRows>> shards(static_cast<std::size_t>(reducers));
   for (auto& shard : shards) shard = std::make_shared<TeraRows>();
   if (outcome.data) {
@@ -154,9 +166,6 @@ mr::ReduceOutcome TeraSort::execute_reduce(std::span<const mr::MapOutcome> maps)
     }
     if (run_bounds.size() % 2 == 0) next.push_back(run_bounds.back());
     run_bounds = std::move(next);
-  }
-  if (run_bounds.size() == 2 && run_bounds[0] != 0) {
-    // Degenerate single-run case already sorted; nothing to do.
   }
 
   mr::ReduceOutcome outcome;

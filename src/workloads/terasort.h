@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -83,13 +82,10 @@ class TeraSort : public Workload {
   // TeraGen output, shared through the dataset cache.
   std::shared_ptr<const TeraRows> rows() const;
   // Partition boundaries for R reducers, from a deterministic sample
-  // of the input keys (cached per R).
-  const std::vector<TeraRow>& boundaries(int reducers) const;
+  // of the input keys, shared through the dataset cache.
+  std::shared_ptr<const TeraRows> boundaries(int reducers) const;
 
   TeraSortParams params_;
-  mutable std::map<int, std::vector<TeraRow>> boundaries_cache_;
-  // Sorting a split is deterministic; memoise across modes/attempts.
-  mutable std::map<Bytes, mr::MapOutcome> map_cache_;  // keyed by split offset
 };
 
 }  // namespace mrapid::wl

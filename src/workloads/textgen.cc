@@ -5,8 +5,6 @@
 #include <string_view>
 #include <utility>
 
-#include "workloads/dataset_cache.h"
-
 namespace mrapid::wl {
 
 Vocabulary::Vocabulary(std::uint64_t seed, std::size_t size, double zipf_s)
@@ -82,10 +80,14 @@ std::string TextGenerator::generate(Bytes bytes, std::uint64_t stream_tag) const
 std::shared_ptr<const CorpusFile> TextGenerator::file(Bytes bytes,
                                                       std::uint64_t stream_tag) const {
   return DatasetCache::instance().acquire_as<CorpusFile>(
-      DatasetKey::corpus_file(seed_, vocabulary_->size(), zipf_s_, bytes, stream_tag), [&] {
+      file_key(bytes, stream_tag), [&] {
         auto built = std::make_shared<const CorpusFile>(draw(bytes, stream_tag));
         return DatasetCache::Built{built, built->footprint_bytes()};
       });
+}
+
+DatasetKey TextGenerator::file_key(Bytes bytes, std::uint64_t stream_tag) const {
+  return DatasetKey::corpus_file(seed_, vocabulary_->size(), zipf_s_, bytes, stream_tag);
 }
 
 std::string TextGenerator::spell(const CorpusFile& file) const {

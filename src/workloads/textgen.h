@@ -15,6 +15,7 @@
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "workloads/dataset_cache.h"
 #include "workloads/word_key.h"
 
 namespace mrapid::wl {
@@ -72,6 +73,8 @@ class TextGenerator {
   // The same text as generate(bytes, stream_tag), as a shared token
   // sequence from the dataset cache.
   std::shared_ptr<const CorpusFile> file(Bytes bytes, std::uint64_t stream_tag) const;
+  // The cache key file(bytes, stream_tag) is held under.
+  DatasetKey file_key(Bytes bytes, std::uint64_t stream_tag) const;
   // The text of `file`.
   std::string spell(const CorpusFile& file) const;
 

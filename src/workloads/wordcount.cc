@@ -8,6 +8,7 @@
 
 #include "common/hash.h"
 #include "common/rng.h"
+#include "workloads/dataset_cache.h"
 
 namespace mrapid::wl {
 
@@ -237,39 +238,42 @@ Bytes WordCount::serialized_size(const KeyedCounts& counts) {
 }
 
 mr::MapOutcome WordCount::execute_map(const mr::InputSplit& split) const {
-  const auto cache_key = std::make_pair(split.path, split.offset);
-  if (auto it = map_cache_.find(cache_key); it != map_cache_.end()) return it->second;
   // Recover the file index from the staged path layout.
   std::size_t file_index = 0;
   const std::size_t part = split.path.rfind("/part-");
   assert(part != std::string::npos);
   std::sscanf(split.path.c_str() + part, "/part-%zu", &file_index);
   assert(file_index < params_.num_files);
-  const std::shared_ptr<const CorpusFile> file =
-      generator_.file(params_.bytes_per_file, file_index);
 
-  assert(split.offset + split.length <= file->bytes + 1);
-  auto counts = std::make_shared<const KeyedCounts>(count_range(
-      generator_.vocabulary(), *file, split.offset, split.offset + split.length));
+  // The split's counts are looked up before its corpus file, so a
+  // memoized split never regenerates an evicted file.
+  const std::shared_ptr<const KeyedCounts> counts =
+      DatasetCache::instance().acquire_as<KeyedCounts>(
+          DatasetKey::wordcount_map(generator_.file_key(params_.bytes_per_file, file_index),
+                                    split.offset, split.length),
+          [&] {
+            const std::shared_ptr<const CorpusFile> file =
+                generator_.file(params_.bytes_per_file, file_index);
+            assert(split.offset + split.length <= file->bytes + 1);
+            auto built = std::make_shared<const KeyedCounts>(count_range(
+                generator_.vocabulary(), *file, split.offset, split.offset + split.length));
+            return DatasetCache::Built{built, built->capacity() * sizeof(KeyedCount)};
+          });
 
   mr::MapOutcome outcome;
-  std::int64_t tokens = 0;
-  for (const KeyedCount& entry : *counts) tokens += entry.count;
   if (params_.use_combiner) {
     outcome.output_bytes = serialized_size(*counts);
     outcome.output_records = static_cast<std::int64_t>(counts->size());
   } else {
     // Raw (word, 1) pairs: one record per token.
-    Bytes raw = 0;
     for (const KeyedCount& entry : *counts) {
-      raw += entry.count * (static_cast<Bytes>(key_length(entry.key)) + kPairOverhead);
+      outcome.output_bytes +=
+          entry.count * (static_cast<Bytes>(key_length(entry.key)) + kPairOverhead);
+      outcome.output_records += entry.count;
     }
-    outcome.output_bytes = raw;
-    outcome.output_records = tokens;
   }
   outcome.core_seconds = params_.map_throughput.seconds_for(split.length);
   outcome.data = counts;
-  map_cache_.emplace(cache_key, outcome);
   return outcome;
 }
 

@@ -14,7 +14,6 @@
 // WordCounts that tests compare.
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -102,9 +101,6 @@ class WordCount : public Workload {
 
   WordCountParams params_;
   TextGenerator generator_;
-  // execute_map is deterministic per split, and experiment harnesses
-  // run the same splits across many modes/attempts — memoise.
-  mutable std::map<std::pair<std::string, Bytes>, mr::MapOutcome> map_cache_;
 };
 
 // Tokenise `text` into `tally` (splits on spaces/newlines): the

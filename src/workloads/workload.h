@@ -3,10 +3,13 @@
 // Workloads are JobLogic implementations that do *real* computation
 // over staged data — the three benchmarks the paper evaluates
 // (WordCount, TeraSort, PI from the Hadoop examples package). A
-// workload object is simulation-independent: the same instance is
-// staged into a fresh HDFS for every mode/run of an experiment, so its
-// (deterministically generated) input payloads are built once and
-// reused.
+// workload object is simulation-independent and cheap to build: its
+// generated inputs and each map split's output are shared across all
+// instances in the process through wl::DatasetCache, keyed by what
+// they are computed from, so every mode, trial and SweepRunner worker
+// that maps the same split reads one immutable result. Sizes and
+// timings that depend on an instance's own parameters are derived
+// per call.
 
 #include <cstdint>
 #include <string>

@@ -13,11 +13,15 @@
 
 #include "check/fuzzer.h"
 #include "check/oracle.h"
+#include "check/reference.h"
 #include "check/scenario.h"
 #include "check/shrink.h"
 #include "common/rng.h"
 #include "harness/fault.h"
 #include "mrapid/scheduler_registry.h"
+#include "workloads/dataset_cache.h"
+#include "workloads/textgen.h"
+#include "workloads/wordcount.h"
 
 namespace mrapid {
 namespace {
@@ -272,6 +276,31 @@ TEST(Oracle, CatchesDroppedShard) {
   ASSERT_FALSE(report.ok());
   // Every mode funnels reduces through the same runner, so every mode
   // must disagree with the (uncorrupted) reference.
+  int mismatches = 0;
+  for (const std::string& violation : report.violations) {
+    mismatches += violation.find("digest mismatch") != std::string::npos;
+  }
+  EXPECT_EQ(mismatches, 4) << report.violations_text();
+}
+
+TEST(Oracle, ReferenceComputesEveryMapItselfInsteadOfReadingTheMemo) {
+  check::FuzzScenario s = two_map_scenario();
+  s.data_seed = 0xBAD5EED;  // a corpus no other test memoizes
+  const std::uint64_t clean = check::reference_digest(s, *check::make_workload(s));
+
+  // Poison file 0's only split: the memo now holds wrong counts for it.
+  const Bytes file_bytes = static_cast<Bytes>(s.file_kb) * 1024;
+  const wl::DatasetKey split = wl::DatasetKey::wordcount_map(
+      wl::TextGenerator(s.data_seed).file_key(file_bytes, 0), 0, file_bytes);
+  wl::DatasetCache::instance().acquire(split, [] {
+    auto poison = std::make_shared<const wl::KeyedCounts>(
+        wl::KeyedCounts{{wl::word_key("poison"), 1}});
+    return wl::DatasetCache::Built{poison, sizeof(wl::KeyedCount)};
+  });
+
+  // Every mode reads the poisoned counts; the reference does not.
+  const check::OracleReport report = check::run_oracle(s, {});
+  EXPECT_EQ(report.reference, clean);
   int mismatches = 0;
   for (const std::string& violation : report.violations) {
     mismatches += violation.find("digest mismatch") != std::string::npos;

@@ -242,6 +242,60 @@ TEST(DatasetCache, StatsCountHitsMissesAndEvictions) {
   EXPECT_GE(after.evictions - before.evictions, 2u);
 }
 
+// The access pattern of a figure sweep: four modes, each mapping one
+// split of each of four inputs, every input so large that only two fit
+// the budget. Like the workloads, a map looks its output up before its
+// input. A single LRU order over both would evict the first mode's
+// first output when its fourth input arrives, and then rebuild an
+// output and its input on every request.
+TEST(DatasetCache, RepeatedModesBuildNoInputOrOutputAgain) {
+  DatasetCache& cache = DatasetCache::instance();
+  constexpr int kInputs = 4;
+  constexpr std::size_t kInputBytes = DatasetCache::kBudgetBytes / 5 * 2;
+  std::vector<int> input_builds(kInputs, 0);
+  std::vector<int> output_builds(kInputs, 0);
+  const auto map = [&](int tag) {
+    const DatasetKey input = DatasetKey::teragen(0xF168, tag);
+    return *cache.acquire_as<int>(DatasetKey::terasort_map(input, 0, 100), [&, tag, input] {
+      ++output_builds[static_cast<std::size_t>(tag)];
+      const auto rows = cache.acquire_as<int>(input, [&, tag] {
+        ++input_builds[static_cast<std::size_t>(tag)];
+        return DatasetCache::Built{std::make_shared<const int>(tag), kInputBytes};
+      });
+      return DatasetCache::Built{std::make_shared<const int>(*rows + 100), 64};
+    });
+  };
+  for (int mode = 0; mode < 4; ++mode) {
+    for (int tag = 0; tag < kInputs; ++tag) EXPECT_EQ(map(tag), tag + 100);
+  }
+  EXPECT_EQ(input_builds, std::vector<int>(kInputs, 1));
+  EXPECT_EQ(output_builds, std::vector<int>(kInputs, 1));
+}
+
+// Outputs are budgeted apart from inputs: a full budget of outputs,
+// such as earlier sweeps leave behind, does not push out an input
+// whose splits are still being mapped.
+TEST(DatasetCache, DerivedOutputsNeverCrowdOutInputs) {
+  DatasetCache& cache = DatasetCache::instance();
+  const DatasetKey table = DatasetKey::teragen(0xC40D, 1);
+  int table_builds = 0;
+  const auto acquire_table = [&] {
+    return cache.acquire(table, [&table_builds] {
+      ++table_builds;
+      return DatasetCache::Built{std::make_shared<const int>(1), DatasetCache::kBudgetBytes / 2};
+    });
+  };
+  acquire_table();
+  const DatasetKey other = DatasetKey::teragen(0xC40D, 2);
+  for (int split = 0; split < 8; ++split) {
+    cache.acquire(DatasetKey::terasort_map(other, split, 1), [] {
+      return DatasetCache::Built{std::make_shared<const int>(0), DatasetCache::kBudgetBytes / 4};
+    });
+  }
+  acquire_table();
+  EXPECT_EQ(table_builds, 1);
+}
+
 // ---- tokenizer ---------------------------------------------------------
 
 TEST(Tokenizer, SplitsOnSpacesAndNewlines) {
@@ -315,9 +369,10 @@ TEST(WordCountLogic, CoreSecondsScaleWithInput) {
               params.map_throughput.seconds_for(split.length), 1e-9);
 }
 
-// One map over bytes [offset, offset + length) of file 0, from a fresh
-// instance: maps are memoised per (path, offset).
+// One map over bytes [offset, offset + length) of file 0, computed
+// afresh rather than read from the process-wide memo.
 mr::MapOutcome map_range(const WordCountParams& params, Bytes offset, Bytes length) {
+  const DatasetCache::DerivedBypass afresh;
   WordCount wc(params);
   mr::InputSplit split;
   split.path = "/input/oracle/part-00000";
@@ -584,6 +639,130 @@ TEST_P(WordCountKeyedRuns, WholeRunMatchesTheStringFoldAndTheReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Reducers, WordCountKeyedRuns, ::testing::Values(1, 3, 7));
+
+// ---- map memo --------------------------------------------------------------
+
+// A map of `split` by a fresh instance of `W` built from `params`.
+template <typename W, typename Params>
+mr::MapOutcome fresh_map(const Params& params, const mr::InputSplit& split) {
+  return W(params).execute_map(split);
+}
+
+mr::InputSplit byte_split(std::string path, Bytes offset, Bytes length) {
+  mr::InputSplit split;
+  split.path = std::move(path);
+  split.offset = offset;
+  split.length = length;
+  return split;
+}
+
+// Cache misses while `fn` runs: the entries it built.
+template <typename Fn>
+std::uint64_t builds_during(Fn&& fn) {
+  const std::uint64_t before = DatasetCache::instance().stats().misses;
+  fn();
+  return DatasetCache::instance().stats().misses - before;
+}
+
+TEST(MapMemo, WordCountSharesCountsByCorpusFileAndSplitOnly) {
+  WordCountParams base;
+  base.num_files = 2;
+  base.bytes_per_file = 96_KB;
+  base.seed = 0x3E3A;
+  base.vocabulary = 5000;
+  const mr::InputSplit split = byte_split("/input/memo/part-00001", 16_KB, 64_KB);
+  const auto shared = fresh_map<WordCount>(base, split).data;
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(fresh_map<WordCount>(base, split).data, shared);
+  // num_files does not change file 1's bytes.
+  WordCountParams more_files = base;
+  more_files.num_files = 3;
+  EXPECT_EQ(fresh_map<WordCount>(more_files, split).data, shared);
+
+  WordCountParams other_seed = base;
+  other_seed.seed += 1;
+  WordCountParams other_size = base;
+  other_size.bytes_per_file = 128_KB;
+  EXPECT_NE(fresh_map<WordCount>(other_seed, split).data, shared);
+  EXPECT_NE(fresh_map<WordCount>(other_size, split).data, shared);
+  EXPECT_NE(fresh_map<WordCount>(base, byte_split(split.path, 8_KB, 64_KB)).data, shared);
+  EXPECT_NE(fresh_map<WordCount>(base, byte_split(split.path, 16_KB, 32_KB)).data, shared);
+  EXPECT_NE(fresh_map<WordCount>(base, byte_split("/input/memo/part-00000", 16_KB, 64_KB)).data,
+            shared);
+}
+
+TEST(MapMemo, UncombinedMapReadingSharedCountsReportsRawPairs) {
+  WordCountParams combined;
+  combined.num_files = 1;
+  combined.bytes_per_file = 64_KB;
+  combined.seed = 0x3E3B;
+  combined.vocabulary = 5000;
+  WordCountParams raw = combined;
+  raw.use_combiner = false;
+  const mr::InputSplit split = byte_split("/input/memo/part-00000", 0, 64_KB);
+  const mr::MapOutcome with = fresh_map<WordCount>(combined, split);
+  mr::MapOutcome without;
+  EXPECT_EQ(builds_during([&] { without = fresh_map<WordCount>(raw, split); }), 0u);
+  EXPECT_EQ(without.data, with.data);
+
+  // The oracle: tokenising the split's text.
+  WordTally tally;
+  tokenize_into(TextGenerator(combined.seed, combined.vocabulary).generate(64_KB, 0), tally);
+  Bytes raw_bytes = 0;
+  std::int64_t tokens = 0;
+  for (const auto& [word, count] : tally) {
+    raw_bytes += count * (static_cast<Bytes>(word.size()) + 9);
+    tokens += count;
+  }
+  EXPECT_EQ(without.output_bytes, raw_bytes);
+  EXPECT_EQ(without.output_records, tokens);
+  EXPECT_EQ(with.output_records, static_cast<std::int64_t>(tally.size()));
+  EXPECT_LT(with.output_bytes, without.output_bytes);
+}
+
+TEST(MapMemo, TeraSortSharesRunsByTableAndSplitOnly) {
+  TeraSortParams base;
+  base.rows = 4000;
+  base.seed = 0x3E3C;
+  const mr::InputSplit split = byte_split("/input/memo/part-00000", 100'000, 100'000);
+  const auto shared = fresh_map<TeraSort>(base, split).data;
+  ASSERT_NE(shared, nullptr);
+  EXPECT_EQ(fresh_map<TeraSort>(base, split).data, shared);
+
+  TeraSortParams other_seed = base;
+  other_seed.seed += 1;
+  TeraSortParams other_rows = base;
+  other_rows.rows = 5000;
+  EXPECT_NE(fresh_map<TeraSort>(other_seed, split).data, shared);
+  EXPECT_NE(fresh_map<TeraSort>(other_rows, split).data, shared);
+  EXPECT_NE(fresh_map<TeraSort>(base, byte_split(split.path, 0, 100'000)).data, shared);
+  EXPECT_NE(fresh_map<TeraSort>(base, byte_split(split.path, 100'000, 50'000)).data, shared);
+}
+
+TEST(MapMemo, PiSharesPointsByHaltonRangeOnly) {
+  PiParams base;
+  base.total_samples = 40'000;
+  base.num_maps = 4;
+  base.fidelity_cap = 1'000'000;  // does not bind: every point is evaluated
+  mr::InputSplit split;
+  split.index_in_job = 1;
+  const auto shared = fresh_map<Pi>(base, split).data;
+  EXPECT_EQ(fresh_map<Pi>(base, split).data, shared);
+  // A cap at or above the share evaluates the same points.
+  PiParams loose_cap = base;
+  loose_cap.fidelity_cap = 10'000;
+  EXPECT_EQ(fresh_map<Pi>(loose_cap, split).data, shared);
+
+  // A binding cap evaluates fewer points: its own entry, scaled per
+  // instance to the map's full share.
+  PiParams tight_cap = base;
+  tight_cap.fidelity_cap = 5'000;
+  mr::MapOutcome capped;
+  EXPECT_EQ(builds_during([&] { capped = fresh_map<Pi>(tight_cap, split); }), 1u);
+  EXPECT_EQ(std::static_pointer_cast<const PiResult>(capped.data)->total, 10'000);
+  split.index_in_job = 2;
+  EXPECT_NE(fresh_map<Pi>(base, split).data, shared);
+}
 
 // ---- terasort -------------------------------------------------------------
 
