@@ -68,7 +68,8 @@ run_config() {
   # scenario runs all four modes against the reference executor with
   # result-digest, trace-invariant and determinism oracles. Fixed seed
   # range so CI time is bounded; any violation turns this non-zero.
-  "$dir/tools/mrapid_fuzz" --seeds 0..24 --jobs 2
+  # The report is kept for the release leg's worker-count check.
+  "$dir/tools/mrapid_fuzz" --seeds 0..24 --jobs 2 | tee "$dir/fuzz_jobs2.txt"
 }
 
 run_config release build-release -DCMAKE_BUILD_TYPE=Release -DMRAPID_WERROR=ON
@@ -90,6 +91,21 @@ echo "=== [release] job-count identity ==="
 build-release/bench/mrapid_bench --smoke --jobs 1 --json /tmp/smoke_jobs1.json > /dev/null
 normalise_jobs() { sed -E 's/^  "jobs": [0-9]+,$/  "jobs": N,/' "$1"; }
 diff <(normalise_jobs /tmp/smoke.json) <(normalise_jobs /tmp/smoke_jobs1.json)
+
+echo "=== [release] fuzz worker-count identity and injected bug ==="
+# The campaign's workers share map outputs, reduce outputs and digest
+# steps through wl::DatasetCache, and the ctest oracle only covers
+# seeds 0..7: the full campaign's report must be byte-identical on one
+# worker and on two (the fuzz smoke step above).
+build-release/tools/mrapid_fuzz --seeds 0..24 --jobs 1 > /tmp/fuzz_jobs1.txt
+diff build-release/fuzz_jobs2.txt /tmp/fuzz_jobs1.txt
+# With reduces dropping a shard, seeds 0..7 hold five failing scenarios.
+# A memo that handed back the correct answer to a wrong computation
+# would pass them; the campaign must exit non-zero.
+if build-release/tools/mrapid_fuzz --seeds 0..7 --jobs 2 --inject-bug drop-shard > /dev/null; then
+  echo "mrapid_fuzz --inject-bug drop-shard found no failure" >&2
+  exit 1
+fi
 
 echo "=== [release] end-to-end benchmark check ==="
 # perfbench's own unit tests, then every workload once (--seconds 0:

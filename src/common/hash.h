@@ -5,7 +5,8 @@
 // fold their canonicalised output through one of these, and the
 // differential oracle (src/check/) compares the final values. Only
 // integers and raw bytes are mixed — never floating point — so a
-// digest is stable across platforms and build modes.
+// digest is stable across platforms and build modes. The whole state
+// is value(), so a fold can stop and resume from it.
 
 #include <algorithm>
 #include <array>
@@ -18,6 +19,15 @@ namespace mrapid {
 
 class Fnv64 {
  public:
+  // A fold that continues from the value() of an earlier one: mixing
+  // more into it gives what mixing the same into the earlier fold
+  // would.
+  static Fnv64 resume(std::uint64_t state) {
+    Fnv64 fold;
+    fold.hash_ = state;
+    return fold;
+  }
+
   Fnv64& mix_bytes(const void* data, std::size_t size) {
     const auto* bytes = static_cast<const unsigned char*>(data);
     for (std::size_t i = 0; i < size; ++i) {

@@ -31,6 +31,10 @@ std::shared_ptr<const void> DatasetCache::acquire(const DatasetKey& key,
 
   // Claim the key, then build outside the lock. An unbuilt slot is
   // never evicted, so it is still ours when the build returns.
+  static_assert(kSlotOverheadBytes >= sizeof(std::pair<const DatasetKey, Slot>) +
+                                          4 * sizeof(void*) +  // tree node links
+                                          sizeof(std::pair<const void*, std::uint64_t>) +
+                                          2 * sizeof(void*));  // index node link, bucket
   ++stats_.misses;
   std::promise<std::shared_ptr<const void>> promise;
   Slot& claimed = slots_[key];
@@ -48,31 +52,50 @@ std::shared_ptr<const void> DatasetCache::acquire(const DatasetKey& key,
     promise.set_exception(std::current_exception());
     throw;
   }
-  promise.set_value(built.data);
 
+  // The serial is in place before any waiter sees the data, so every
+  // holder of a cached entry reads its serial.
   lock.lock();
   Slot& slot = slots_.at(key);
-  slot.bytes = built.bytes;
-  slot.built = true;
-  resident_[key.derived()] += built.bytes;
+  slot.bytes = built.bytes + kSlotOverheadBytes + key.inputs.size() * sizeof(std::uint64_t);
+  slot.serial = ++last_serial_;
+  slot.address = built.data.get();
+  if (slot.address != nullptr) serials_[slot.address] = slot.serial;
+  resident_[key.derived()] += slot.bytes;
   evict_over_budget(key.derived());
+  lock.unlock();
+  promise.set_value(built.data);
   return std::move(built.data);
 }
 
 void DatasetCache::evict_over_budget(bool derived) {
+  // Results of cached entries go first, least recently used first: one
+  // is rebuilt from entries that are still cached, so they never push
+  // out the map outputs they are computed from.
+  const auto order = [](const auto& entry) {
+    return std::pair(!entry.first.of_entries(), entry.second.last_use);
+  };
   while (resident_[derived] > kBudgetBytes) {
     auto oldest = slots_.end();
     for (auto it = slots_.begin(); it != slots_.end(); ++it) {
-      if (it->second.built && it->first.derived() == derived &&
-          (oldest == slots_.end() || it->second.last_use < oldest->second.last_use)) {
+      if (it->second.serial != 0 && it->first.derived() == derived &&
+          (oldest == slots_.end() || order(*it) < order(*oldest))) {
         oldest = it;
       }
     }
     if (oldest == slots_.end()) return;
+    serials_.erase(oldest->second.address);
     resident_[derived] -= oldest->second.bytes;
     slots_.erase(oldest);
     ++stats_.evictions;
   }
+}
+
+std::uint64_t DatasetCache::serial_of(const void* data) const {
+  if (derived_bypasses > 0 || data == nullptr) return 0;
+  std::lock_guard lock(mutex_);
+  const auto it = serials_.find(data);
+  return it == serials_.end() ? 0 : it->second;
 }
 
 std::size_t DatasetCache::resident_bytes() const {

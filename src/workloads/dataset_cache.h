@@ -1,23 +1,35 @@
 #pragma once
 
 // Process-wide cache of generated input datasets (Zipf vocabularies,
-// corpus files, TeraGen tables) and of the outputs derived from them
-// (each map split's output, TeraSort's partition boundaries).
-// Generating and mapping are deterministic in their parameters, and
-// experiment sweeps build many workload instances over the same few
+// corpus files, TeraGen tables) and of the results derived from them
+// (each map split's output, TeraSort's partition boundaries, reduce
+// outputs and result-digest steps). Generating, mapping, reducing and
+// digesting are deterministic in their inputs, and experiment sweeps
+// and job streams build many workload instances over the same few
 // datasets and splits (every trial of a figure, both SweepRunner
-// workers, every mode), so each entry is built once per process and
-// shared read-only.
+// workers, every mode, every job of a tenant), so each entry is built
+// once per process and shared read-only.
 //
-// Entries are immutable and handed out as shared_ptr<const T>. Inputs
-// and derived outputs each have a fixed byte budget, and above it the
-// class's least recently used entries are dropped from the cache, so
-// a large input never pushes out the small outputs that spare
-// rebuilding it, and outputs never crowd out the inputs a sweep is
-// still mapping. A workload asks for a split's output before the
-// input it is derived from, so a memoized split never regenerates an
-// evicted input. A workload that still holds an entry keeps it alive,
-// and the next request for that key builds it afresh (same bytes).
+// Entries are immutable and handed out as shared_ptr<const T>. Every
+// built entry gets a process-unique serial, which serial_of() finds
+// from the entry's data address. A result computed from cached entries
+// is keyed by their serials: a reduce by the ordered list of its input
+// runs' serials, a digest step by its partition's serial. Data that is
+// not a cached entry (a shard cut for one of several reducers, a
+// reduce over such shards) reads serial 0 and is computed afresh.
+//
+// Inputs and derived results each have a fixed byte budget, charged
+// with each entry's payload plus a fixed bookkeeping cost per slot,
+// and above it the class's least recently used entries are dropped
+// from the cache, so a large input never pushes out the small outputs
+// that spare rebuilding it, and outputs never crowd out the inputs a
+// sweep is still mapping. Within the derived class, reduce outputs and
+// digest steps go before any map output, so they never crowd out the
+// map outputs they are computed from. A workload asks for a split's output before
+// the input it is derived from, so a memoized split never regenerates
+// an evicted input. A workload that still holds an entry keeps it
+// alive, but an evicted entry loses its serial, and the next request
+// for that key builds it afresh (same bytes, new serial).
 
 #include <bit>
 #include <compare>
@@ -28,11 +40,15 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace mrapid::wl {
 
 // The full identity of one cached dataset. Fields a kind does not use
-// stay zero; a derived kind carries its input's fields too.
+// stay zero; a map-derived kind carries its input's fields too, and a
+// kind derived from cached entries names them by serial.
 struct DatasetKey {
   enum class Kind : std::uint8_t {
     // Generated inputs.
@@ -44,6 +60,11 @@ struct DatasetKey {
     kTeraSortMap,
     kTeraSortBounds,
     kPiMap,
+    // Results derived from cached entries.
+    kWordCountReduce,
+    kTeraSortReduce,
+    kWordCountDigest,
+    kTeraSortDigest,
   };
 
   Kind kind = Kind::kVocabulary;
@@ -54,6 +75,7 @@ struct DatasetKey {
   std::uint64_t index = 0;      // corpus file index, or reducer count
   std::int64_t offset = 0;      // split offset, or the first Halton index
   std::int64_t length = 0;      // split length, or the evaluated points
+  std::vector<std::uint64_t> inputs = {};  // a reduce's input serials, in order
 
   static DatasetKey vocabulary(std::uint64_t seed, std::size_t words, double zipf_s) {
     return {Kind::kVocabulary, seed, words, std::bit_cast<std::uint64_t>(zipf_s), 0, 0, 0, 0};
@@ -92,7 +114,27 @@ struct DatasetKey {
     return key;
   }
 
+  // `kind`'s reduce of the cached runs with serials `inputs`, in this
+  // order: the exact list, so reordered or dropped runs are another key.
+  static DatasetKey reduce(Kind kind, std::vector<std::uint64_t> inputs) {
+    DatasetKey key;
+    key.kind = kind;
+    key.inputs = std::move(inputs);
+    return key;
+  }
+  // `kind`'s digest state after folding the cached partition `serial`
+  // into a digest whose state was `state`.
+  static DatasetKey digest_step(Kind kind, std::uint64_t state, std::uint64_t serial) {
+    DatasetKey key;
+    key.kind = kind;
+    key.seed = state;
+    key.index = serial;
+    return key;
+  }
+
   bool derived() const { return kind >= Kind::kWordCountMap; }
+  // Computed from other entries, named by their serials.
+  bool of_entries() const { return kind >= Kind::kWordCountReduce; }
 
   auto operator<=>(const DatasetKey&) const = default;
 
@@ -112,6 +154,11 @@ class DatasetCache {
   // Resident bytes of one class (inputs, or derived outputs) above
   // which that class's least recently used entries are evicted.
   static constexpr std::size_t kBudgetBytes = std::size_t{64} << 20;
+  // What a slot costs beyond its payload (and a reduce key's input
+  // serials): the tree node with its key and slot, the future's shared
+  // state and the serial-index node. Charged so that many tiny entries,
+  // such as 8-byte digest steps, still count against the budget.
+  static constexpr std::size_t kSlotOverheadBytes = 320;
 
   // What a builder returns: the dataset and the bytes it occupies.
   struct Built {
@@ -134,7 +181,12 @@ class DatasetCache {
     return std::static_pointer_cast<const T>(acquire(key, build));
   }
 
-  // Bytes held by built entries, of both classes.
+  // The serial of the built entry whose data is at `data`, or 0 if
+  // no entry currently in the cache holds it. Always 0 while a
+  // DerivedBypass is alive on the calling thread.
+  std::uint64_t serial_of(const void* data) const;
+
+  // Bytes charged to built entries, of both classes.
   std::size_t resident_bytes() const;
 
   // Requests answered from the cache (including those that waited for
@@ -149,9 +201,10 @@ class DatasetCache {
   Stats stats() const;
 
   // Scoped: while one is alive on a thread, that thread computes every
-  // derived output itself. The differential oracle's reference
-  // executor holds one, so the answer it judges runs by never comes
-  // from the memo those runs read.
+  // derived output itself and reads no serial. The differential
+  // oracle's reference executor holds one, so no map, reduce or digest
+  // step of the answer it judges runs by comes from the memo those
+  // runs read.
   class DerivedBypass {
    public:
     DerivedBypass();
@@ -163,15 +216,18 @@ class DatasetCache {
  private:
   struct Slot {
     std::shared_future<std::shared_ptr<const void>> ready;
-    std::size_t bytes = 0;
+    std::size_t bytes = 0;  // payload plus bookkeeping
     std::uint64_t last_use = 0;
-    bool built = false;
+    std::uint64_t serial = 0;         // 0 until built
+    const void* address = nullptr;    // the built data
   };
 
   void evict_over_budget(bool derived);  // requires mutex_
 
   mutable std::mutex mutex_;  // guards everything below
   std::map<DatasetKey, Slot> slots_;
+  std::unordered_map<const void*, std::uint64_t> serials_;  // built data -> its serial
+  std::uint64_t last_serial_ = 0;
   std::size_t resident_[2] = {0, 0};  // inputs, derived outputs
   std::uint64_t clock_ = 0;
   Stats stats_;

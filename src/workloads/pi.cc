@@ -184,18 +184,13 @@ mr::MapOutcome Pi::execute_map(const mr::InputSplit& split) const {
 }
 
 std::uint64_t Pi::result_digest(const mr::JobResult& result) const {
-  Fnv64 digest;
-  digest.mix(static_cast<std::uint64_t>(result.reduce_results.size()));
-  for (const auto& erased : result.reduce_results) {
-    if (!erased) {
-      digest.mix(std::string_view("<null partition>"));
-      continue;
-    }
-    const auto& partial = *std::static_pointer_cast<const PiResult>(erased);
+  // Pi's reduce output is never a cached entry, so there is no step
+  // to memoize.
+  return fold_partitions(result, std::nullopt, [](Fnv64& digest, const void* partition) {
+    const auto& partial = *static_cast<const PiResult*>(partition);
     digest.mix(partial.inside);
     digest.mix(partial.total);
-  }
-  return digest.value();
+  });
 }
 
 mr::ReduceOutcome Pi::execute_reduce(std::span<const mr::MapOutcome> maps) const {

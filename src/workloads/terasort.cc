@@ -129,47 +129,46 @@ std::uint64_t TeraSort::result_digest(const mr::JobResult& result) const {
   // depending on merge order, and the sorted key sequence is what
   // "same answer" means for a sort. Partition order is the global
   // order, so folding partitions in order digests the concatenation.
-  Fnv64 digest;
-  digest.mix(static_cast<std::uint64_t>(result.reduce_results.size()));
-  for (const auto& erased : result.reduce_results) {
-    if (!erased) {
-      digest.mix(std::string_view("<null partition>"));
-      continue;
-    }
-    const auto& rows = *std::static_pointer_cast<const TeraRows>(erased);
-    digest.mix(static_cast<std::uint64_t>(rows.size()));
-    for (const auto& row : rows) digest.mix_bytes(row.key.data(), row.key.size());
-  }
-  return digest.value();
+  return fold_partitions(
+      result, DatasetKey::Kind::kTeraSortDigest, [](Fnv64& digest, const void* partition) {
+        const auto& rows = *static_cast<const TeraRows*>(partition);
+        digest.mix(static_cast<std::uint64_t>(rows.size()));
+        for (const auto& row : rows) digest.mix_bytes(row.key.data(), row.key.size());
+      });
 }
 
 mr::ReduceOutcome TeraSort::execute_reduce(std::span<const mr::MapOutcome> maps) const {
-  // K-way merge of the sorted runs (implemented as concatenate +
-  // inplace_merge cascade, which is O(n log k) like a heap merge).
-  auto merged = std::make_shared<TeraRows>();
   Bytes shuffled = 0;
-  std::vector<std::size_t> run_bounds{0};
-  for (const auto& map : maps) {
-    shuffled += map.output_bytes;
-    if (!map.data) continue;
-    const auto& run = *std::static_pointer_cast<const TeraRows>(map.data);
-    merged->insert(merged->end(), run.begin(), run.end());
-    run_bounds.push_back(merged->size());
-  }
-  while (run_bounds.size() > 2) {
-    std::vector<std::size_t> next{0};
-    for (std::size_t i = 2; i < run_bounds.size(); i += 2) {
-      std::inplace_merge(merged->begin() + static_cast<std::ptrdiff_t>(run_bounds[i - 2]),
-                         merged->begin() + static_cast<std::ptrdiff_t>(run_bounds[i - 1]),
-                         merged->begin() + static_cast<std::ptrdiff_t>(run_bounds[i]));
-      next.push_back(run_bounds[i]);
-    }
-    if (run_bounds.size() % 2 == 0) next.push_back(run_bounds.back());
-    run_bounds = std::move(next);
-  }
+  for (const auto& map : maps) shuffled += map.output_bytes;
+  const std::shared_ptr<const void> merged =
+      reduce_runs(DatasetKey::Kind::kTeraSortReduce, maps, [maps] {
+        // K-way merge of the sorted runs (implemented as concatenate +
+        // inplace_merge cascade, which is O(n log k) like a heap merge).
+        auto rows = std::make_shared<TeraRows>();
+        std::vector<std::size_t> run_bounds{0};
+        for (const auto& map : maps) {
+          if (!map.data) continue;
+          const auto& run = *std::static_pointer_cast<const TeraRows>(map.data);
+          rows->insert(rows->end(), run.begin(), run.end());
+          run_bounds.push_back(rows->size());
+        }
+        while (run_bounds.size() > 2) {
+          std::vector<std::size_t> next{0};
+          for (std::size_t i = 2; i < run_bounds.size(); i += 2) {
+            std::inplace_merge(rows->begin() + static_cast<std::ptrdiff_t>(run_bounds[i - 2]),
+                               rows->begin() + static_cast<std::ptrdiff_t>(run_bounds[i - 1]),
+                               rows->begin() + static_cast<std::ptrdiff_t>(run_bounds[i]));
+            next.push_back(run_bounds[i]);
+          }
+          if (run_bounds.size() % 2 == 0) next.push_back(run_bounds.back());
+          run_bounds = std::move(next);
+        }
+        return DatasetCache::Built{rows, rows->capacity() * sizeof(TeraRow)};
+      });
 
   mr::ReduceOutcome outcome;
-  outcome.output_bytes = static_cast<Bytes>(merged->size()) * kRowBytes;
+  outcome.output_bytes =
+      static_cast<Bytes>(static_cast<const TeraRows*>(merged.get())->size()) * kRowBytes;
   outcome.core_seconds = params_.reduce_merge_throughput.seconds_for(shuffled);
   outcome.result = merged;
   return outcome;

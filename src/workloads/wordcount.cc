@@ -278,18 +278,17 @@ mr::MapOutcome WordCount::execute_map(const mr::InputSplit& split) const {
 }
 
 mr::ReduceOutcome WordCount::execute_reduce(std::span<const mr::MapOutcome> maps) const {
-  std::vector<const KeyedCounts*> runs;
-  std::shared_ptr<const void> merged;
   Bytes shuffled = 0;
-  for (const auto& map : maps) {
-    shuffled += map.output_bytes;
-    if (map.data) {
-      runs.push_back(&keyed(map.data));
-      merged = map.data;
-    }
-  }
-  // A single run is already the answer; share it rather than copy it.
-  if (runs.size() != 1) merged = std::make_shared<const KeyedCounts>(merge_counts(runs));
+  for (const auto& map : maps) shuffled += map.output_bytes;
+  std::shared_ptr<const void> merged =
+      reduce_runs(DatasetKey::Kind::kWordCountReduce, maps, [maps] {
+        std::vector<const KeyedCounts*> runs;
+        for (const auto& map : maps) {
+          if (map.data) runs.push_back(&keyed(map.data));
+        }
+        auto built = std::make_shared<const KeyedCounts>(merge_counts(runs));
+        return DatasetCache::Built{built, built->capacity() * sizeof(KeyedCount)};
+      });
   mr::ReduceOutcome outcome;
   outcome.output_bytes = serialized_size(keyed(merged));
   outcome.core_seconds = params_.reduce_throughput.seconds_for(shuffled);
@@ -331,21 +330,15 @@ std::uint64_t WordCount::result_digest(const mr::JobResult& result) const {
   // Each partition is already sorted by word; the partitions
   // themselves are disjoint and ordered, so they are folded in
   // partition order.
-  Fnv64 digest;
-  digest.mix(static_cast<std::uint64_t>(result.reduce_results.size()));
-  for (const auto& erased : result.reduce_results) {
-    if (!erased) {
-      digest.mix(std::string_view("<null partition>"));
-      continue;
-    }
-    const KeyedCounts& counts = keyed(erased);
-    digest.mix(static_cast<std::uint64_t>(counts.size()));
-    for (const KeyedCount& entry : counts) {
-      mix_word(digest, entry.key);
-      digest.mix(entry.count);
-    }
-  }
-  return digest.value();
+  return fold_partitions(
+      result, DatasetKey::Kind::kWordCountDigest, [](Fnv64& digest, const void* partition) {
+        const auto& counts = *static_cast<const KeyedCounts*>(partition);
+        digest.mix(static_cast<std::uint64_t>(counts.size()));
+        for (const KeyedCount& entry : counts) {
+          mix_word(digest, entry.key);
+          digest.mix(entry.count);
+        }
+      });
 }
 
 WordCounts WordCount::counts_of(const std::shared_ptr<const void>& data) {

@@ -4,19 +4,26 @@
 // over staged data — the three benchmarks the paper evaluates
 // (WordCount, TeraSort, PI from the Hadoop examples package). A
 // workload object is simulation-independent and cheap to build: its
-// generated inputs and each map split's output are shared across all
-// instances in the process through wl::DatasetCache, keyed by what
-// they are computed from, so every mode, trial and SweepRunner worker
-// that maps the same split reads one immutable result. Sizes and
-// timings that depend on an instance's own parameters are derived
-// per call.
+// generated inputs, each map split's output, each reduce over cached
+// runs and each digest step over a cached partition are shared across
+// all instances in the process through wl::DatasetCache, keyed by what
+// they are computed from, so every mode, trial, SweepRunner worker and
+// stream job that computes the same thing reads one immutable result.
+// Sizes and timings that depend on an instance's own parameters are
+// derived per call.
 
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "hdfs/hdfs.h"
 #include "mapreduce/job.h"
+#include "workloads/dataset_cache.h"
 
 namespace mrapid::wl {
 
@@ -45,6 +52,28 @@ class Workload : public mr::JobLogic {
     spec.logic = this;
     return spec;
   }
+
+ protected:
+  // The reduce of the runs `maps` carry, in order; a map without data
+  // adds nothing. One run is its own output. When there are several
+  // and every one is a cached entry, the output is the derived entry
+  // `kind` keyed by the runs' serials in order, so equal inputs share
+  // one output; otherwise `merge` computes it afresh.
+  static std::shared_ptr<const void> reduce_runs(DatasetKey::Kind kind,
+                                                 std::span<const mr::MapOutcome> maps,
+                                                 const std::function<DatasetCache::Built()>& merge);
+
+  // Folds one non-null partition into a result digest.
+  using FoldPartition = std::function<void(Fnv64&, const void* partition)>;
+
+  // The result digest of `result`: the partition count, then each
+  // partition in order, through `fold` (a null one as a marker). With a
+  // `step` kind, a partition that is a cached entry is folded as one
+  // memoized step, (incoming state, partition serial) -> outgoing
+  // state, which gives the same value as folding it in place.
+  static std::uint64_t fold_partitions(const mr::JobResult& result,
+                                       std::optional<DatasetKey::Kind> step,
+                                       const FoldPartition& fold);
 };
 
 }  // namespace mrapid::wl

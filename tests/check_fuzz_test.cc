@@ -16,6 +16,7 @@
 #include "check/reference.h"
 #include "check/scenario.h"
 #include "check/shrink.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "harness/fault.h"
 #include "mrapid/scheduler_registry.h"
@@ -283,6 +284,18 @@ TEST(Oracle, CatchesDroppedShard) {
   EXPECT_EQ(mismatches, 4) << report.violations_text();
 }
 
+// Every mode reads `s`'s memo (already poisoned) and must disagree
+// with the reference, which must still give `clean`.
+void expect_only_modes_read_the_poison(const check::FuzzScenario& s, std::uint64_t clean) {
+  const check::OracleReport report = check::run_oracle(s, {});
+  EXPECT_EQ(report.reference, clean);
+  int mismatches = 0;
+  for (const std::string& violation : report.violations) {
+    mismatches += violation.find("digest mismatch") != std::string::npos;
+  }
+  EXPECT_EQ(mismatches, 4) << report.violations_text();
+}
+
 TEST(Oracle, ReferenceComputesEveryMapItselfInsteadOfReadingTheMemo) {
   check::FuzzScenario s = two_map_scenario();
   s.data_seed = 0xBAD5EED;  // a corpus no other test memoizes
@@ -298,14 +311,57 @@ TEST(Oracle, ReferenceComputesEveryMapItselfInsteadOfReadingTheMemo) {
     return wl::DatasetCache::Built{poison, sizeof(wl::KeyedCount)};
   });
 
-  // Every mode reads the poisoned counts; the reference does not.
-  const check::OracleReport report = check::run_oracle(s, {});
-  EXPECT_EQ(report.reference, clean);
-  int mismatches = 0;
-  for (const std::string& violation : report.violations) {
-    mismatches += violation.find("digest mismatch") != std::string::npos;
-  }
-  EXPECT_EQ(mismatches, 4) << report.violations_text();
+  expect_only_modes_read_the_poison(s, clean);
+}
+
+// The memoized run of file `file`'s only split, as every mode maps it.
+std::shared_ptr<const void> memoized_run(const check::FuzzScenario& s, wl::Workload& workload,
+                                         int file) {
+  mr::InputSplit split;
+  split.path = "/input/poison/part-0000" + std::to_string(file);
+  split.length = static_cast<Bytes>(s.file_kb) * 1024;
+  return workload.execute_map(split).data;
+}
+
+TEST(Oracle, ReferenceComputesEveryReduceAndDigestItself) {
+  wl::DatasetCache& cache = wl::DatasetCache::instance();
+
+  // A reduce: poison the merge of the two files' runs.
+  check::FuzzScenario two = two_map_scenario();
+  two.data_seed = 0xBAD5EED2;  // a corpus no other test memoizes
+  const std::unique_ptr<wl::Workload> merging = check::make_workload(two);
+  const std::uint64_t merged_clean = check::reference_digest(two, *merging);
+  const std::vector<std::uint64_t> runs = {
+      cache.serial_of(memoized_run(two, *merging, 0).get()),
+      cache.serial_of(memoized_run(two, *merging, 1).get()),
+  };
+  ASSERT_NE(runs[0], 0u);
+  ASSERT_NE(runs[1], 0u);
+  cache.acquire(wl::DatasetKey::reduce(wl::DatasetKey::Kind::kWordCountReduce, runs), [] {
+    auto poison = std::make_shared<const wl::KeyedCounts>(
+        wl::KeyedCounts{{wl::word_key("poison"), 1}});
+    return wl::DatasetCache::Built{poison, sizeof(wl::KeyedCount)};
+  });
+  expect_only_modes_read_the_poison(two, merged_clean);
+
+  // A digest step: one file, so the result is that file's run, folded
+  // from the state after the partition count.
+  check::FuzzScenario one = two_map_scenario();
+  one.files = 1;
+  one.data_seed = 0xBAD5EED3;
+  const std::unique_ptr<wl::Workload> single = check::make_workload(one);
+  const std::uint64_t single_clean = check::reference_digest(one, *single);
+  const std::uint64_t run = cache.serial_of(memoized_run(one, *single, 0).get());
+  ASSERT_NE(run, 0u);
+  Fnv64 counted;
+  counted.mix(std::uint64_t{1});
+  cache.acquire(
+      wl::DatasetKey::digest_step(wl::DatasetKey::Kind::kWordCountDigest, counted.value(), run),
+      [] {
+        return wl::DatasetCache::Built{std::make_shared<const std::uint64_t>(0xBAD),
+                                       sizeof(std::uint64_t)};
+      });
+  expect_only_modes_read_the_poison(one, single_clean);
 }
 
 TEST(Oracle, CatchesDuplicatedShard) {

@@ -236,6 +236,29 @@ TEST(Fnv64, MixFoldsZeroBytesExactly) {
   EXPECT_EQ(folded_chain.value(), byte_chain.value());
 }
 
+// A digest step folds one partition from the state the digest had
+// reached, so resuming from value() must continue the fold exactly.
+TEST(Fnv64, ResumeFromValueContinuesTheFold) {
+  RngStream rng(2025, "fnv-resume");
+  for (int stream = 0; stream < 32; ++stream) {
+    std::vector<unsigned char> bytes(static_cast<std::size_t>(rng.next_int(0, 200)));
+    for (unsigned char& byte : bytes) byte = static_cast<unsigned char>(rng.next_int(0, 255));
+    Fnv64 whole;
+    whole.mix_bytes(bytes.data(), bytes.size());
+    for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+      Fnv64 prefix;
+      prefix.mix_bytes(bytes.data(), cut);
+      Fnv64 resumed = Fnv64::resume(prefix.value());
+      resumed.mix_bytes(bytes.data() + cut, bytes.size() - cut);
+      ASSERT_EQ(resumed.value(), whole.value()) << "stream " << stream << " cut " << cut;
+    }
+  }
+  // Resuming from a fresh fold's value is a fresh fold.
+  Fnv64 fresh;
+  EXPECT_EQ(Fnv64::resume(Fnv64().value()).mix(std::uint64_t{42}).value(),
+            fresh.mix(std::uint64_t{42}).value());
+}
+
 // ---- stats ---------------------------------------------------------
 
 TEST(Summary, BasicMoments) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -240,6 +241,57 @@ TEST(DatasetCache, StatsCountHitsMissesAndEvictions) {
   EXPECT_EQ(after.misses - before.misses, 3u);
   // Entries other tests left behind may be evicted first.
   EXPECT_GE(after.evictions - before.evictions, 2u);
+}
+
+TEST(DatasetCache, EvictedEntryLosesItsSerial) {
+  DatasetCache& cache = DatasetCache::instance();
+  // Two inputs of just over half the budget each cannot both stay.
+  const auto acquire = [&cache](int tag) {
+    return cache.acquire(DatasetKey::teragen(0x5E41, tag), [] {
+      return DatasetCache::Built{std::make_shared<const int>(1), DatasetCache::kBudgetBytes / 2};
+    });
+  };
+  const std::shared_ptr<const void> held = acquire(1);
+  const std::uint64_t serial = cache.serial_of(held.get());
+  EXPECT_NE(serial, 0u);
+  {
+    const DatasetCache::DerivedBypass afresh;
+    EXPECT_EQ(cache.serial_of(held.get()), 0u);
+  }
+  acquire(2);  // evicts `held`'s entry
+  EXPECT_EQ(cache.serial_of(held.get()), 0u);
+  EXPECT_EQ(*std::static_pointer_cast<const int>(held), 1);
+  const std::shared_ptr<const void> rebuilt = acquire(1);
+  EXPECT_NE(rebuilt, held);
+  EXPECT_NE(cache.serial_of(rebuilt.get()), 0u);
+  EXPECT_NE(cache.serial_of(rebuilt.get()), serial);
+  EXPECT_EQ(cache.serial_of(nullptr), 0u);
+}
+
+// Every slot is charged its bookkeeping, so entries of a few payload
+// bytes each, like digest steps, still fill a budget. (Inputs, whose
+// budget a test can clear: in the derived one, map outputs outrank
+// everything the tiny entries could push out.)
+TEST(DatasetCache, ManyTinyEntriesTriggerEviction) {
+  DatasetCache& cache = DatasetCache::instance();
+  // An input that fills all of the budget but 1 MiB, alone.
+  const auto big = [&](int tag) {
+    return cache.acquire(DatasetKey::teragen(0x71A7, tag), [] {
+      return DatasetCache::Built{std::make_shared<const int>(0),
+                                 DatasetCache::kBudgetBytes - (std::size_t{1} << 20)};
+    });
+  };
+  big(0);
+  const std::shared_ptr<const void> held = big(1);  // evicts everything older
+  ASSERT_NE(cache.serial_of(held.get()), 0u);
+  // 4096 entries of 8 payload bytes: 32 KiB of payload, but more than
+  // 1 MiB with their bookkeeping.
+  for (std::int64_t tag = 0; tag < 4096; ++tag) {
+    cache.acquire(DatasetKey::teragen(0x71A8, tag), [] {
+      return DatasetCache::Built{std::make_shared<const std::uint64_t>(0), sizeof(std::uint64_t)};
+    });
+  }
+  EXPECT_EQ(cache.serial_of(held.get()), 0u);
 }
 
 // The access pattern of a figure sweep: four modes, each mapping one
@@ -762,6 +814,186 @@ TEST(MapMemo, PiSharesPointsByHaltonRangeOnly) {
   EXPECT_EQ(std::static_pointer_cast<const PiResult>(capped.data)->total, 10'000);
   split.index_in_job = 2;
   EXPECT_NE(fresh_map<Pi>(base, split).data, shared);
+}
+
+// ---- reduce and digest memo -------------------------------------------------
+
+// The maps of a two-file WordCount, one split per file.
+std::vector<mr::MapOutcome> wordcount_maps(const WordCount& wc) {
+  std::vector<mr::MapOutcome> maps;
+  for (std::size_t file = 0; file < wc.params().num_files; ++file) {
+    maps.push_back(wc.execute_map(byte_split("/input/memo/part-0000" + std::to_string(file), 0,
+                                             wc.params().bytes_per_file)));
+  }
+  return maps;
+}
+
+// The maps of a TeraSort, one split per block.
+std::vector<mr::MapOutcome> terasort_maps(const TeraSort& ts) {
+  const Bytes block = ts.total_input() / ts.params().blocks;
+  std::vector<mr::MapOutcome> maps;
+  for (int b = 0; b < ts.params().blocks; ++b) {
+    maps.push_back(ts.execute_map(byte_split("/input/memo/part-00000", b * block, block)));
+  }
+  return maps;
+}
+
+std::vector<std::array<char, 10>> keys_of(const std::shared_ptr<const void>& rows) {
+  std::vector<std::array<char, 10>> keys;
+  for (const TeraRow& row : *std::static_pointer_cast<const TeraRows>(rows)) {
+    keys.push_back(row.key);
+  }
+  return keys;
+}
+
+std::uint64_t serial_of(const std::shared_ptr<const void>& data) {
+  return DatasetCache::instance().serial_of(data.get());
+}
+
+WordCountParams memo_wordcount(std::uint64_t seed) {
+  WordCountParams params;
+  params.num_files = 2;
+  params.bytes_per_file = 32_KB;
+  params.seed = seed;
+  params.vocabulary = 5000;
+  return params;
+}
+
+TeraSortParams memo_terasort(std::uint64_t seed) {
+  TeraSortParams params;
+  params.rows = 4000;
+  params.blocks = 4;
+  params.seed = seed;
+  return params;
+}
+
+TEST(ReduceMemo, EqualInputsShareOneOutput) {
+  const WordCount wc_a(memo_wordcount(0x4ED0)), wc_b(memo_wordcount(0x4ED0));
+  const std::vector<mr::MapOutcome> runs = wordcount_maps(wc_a);
+  const std::shared_ptr<const void> merged = wc_a.execute_reduce(runs).result;
+  EXPECT_NE(serial_of(merged), 0u);
+  EXPECT_EQ(wc_b.execute_reduce(wordcount_maps(wc_b)).result, merged);
+  {
+    const DatasetCache::DerivedBypass afresh;
+    EXPECT_EQ(WordCount::counts_of(merged),
+              WordCount::counts_of(wc_a.execute_reduce(wordcount_maps(wc_a)).result));
+  }
+  // Reordered runs are another entry (with the same counts); one run
+  // left is its own output.
+  const std::vector<mr::MapOutcome> reordered = {runs[1], runs[0]};
+  const std::shared_ptr<const void> swapped = wc_a.execute_reduce(reordered).result;
+  EXPECT_NE(swapped, merged);
+  EXPECT_EQ(WordCount::counts_of(swapped), WordCount::counts_of(merged));
+  mr::MapOutcome dropped = runs[0];
+  dropped.data.reset();
+  const std::vector<mr::MapOutcome> one_left = {dropped, runs[1]};
+  EXPECT_EQ(wc_a.execute_reduce(one_left).result, runs[1].data);
+
+  const TeraSort ts_a(memo_terasort(0x4ED1)), ts_b(memo_terasort(0x4ED1));
+  const std::vector<mr::MapOutcome> blocks = terasort_maps(ts_a);
+  const std::shared_ptr<const void> sorted = ts_a.execute_reduce(blocks).result;
+  EXPECT_NE(serial_of(sorted), 0u);
+  EXPECT_EQ(ts_b.execute_reduce(terasort_maps(ts_b)).result, sorted);
+  {
+    const DatasetCache::DerivedBypass afresh;
+    EXPECT_EQ(keys_of(sorted), keys_of(ts_a.execute_reduce(terasort_maps(ts_a)).result));
+  }
+  const std::vector<mr::MapOutcome> shuffled = {blocks[2], blocks[0], blocks[3], blocks[1]};
+  const std::shared_ptr<const void> resorted = ts_a.execute_reduce(shuffled).result;
+  EXPECT_NE(resorted, sorted);
+  EXPECT_EQ(keys_of(resorted), keys_of(sorted));
+  const std::shared_ptr<const void> three = ts_a.execute_reduce(std::span(blocks).first(3)).result;
+  EXPECT_NE(three, sorted);
+  EXPECT_EQ(std::static_pointer_cast<const TeraRows>(three)->size(), 3000u);
+}
+
+TEST(ReduceMemo, UncachedShardsComputeAfresh) {
+  const WordCount wc(memo_wordcount(0x4ED2));
+  const std::vector<mr::MapOutcome> runs = wordcount_maps(wc);
+  constexpr int kReducers = 3;
+  std::vector<std::vector<mr::MapOutcome>> shards(kReducers);
+  for (const mr::MapOutcome& run : runs) {
+    std::vector<mr::MapOutcome> parts = wc.partition_map_output(run, kReducers);
+    for (int r = 0; r < kReducers; ++r) {
+      EXPECT_EQ(serial_of(parts[static_cast<std::size_t>(r)].data), 0u);
+      shards[static_cast<std::size_t>(r)].push_back(std::move(parts[static_cast<std::size_t>(r)]));
+    }
+  }
+  WordCounts all;
+  for (const std::vector<mr::MapOutcome>& inputs : shards) {
+    const std::shared_ptr<const void> merged = wc.execute_reduce(inputs).result;
+    EXPECT_EQ(serial_of(merged), 0u);
+    EXPECT_NE(wc.execute_reduce(inputs).result, merged);
+    const WordCounts counts = WordCount::counts_of(merged);
+    all.insert(all.end(), counts.begin(), counts.end());
+  }
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(all, wc.reference_counts());
+}
+
+TEST(DigestMemo, SteppedFoldEqualsPlainFold) {
+  const WordCount wc(memo_wordcount(0x4ED3));
+  const std::vector<mr::MapOutcome> runs = wordcount_maps(wc);
+  const std::shared_ptr<const void> merged = wc.execute_reduce(runs).result;
+  const std::shared_ptr<const void> uncached = wc.partition_map_output(runs[1], 2)[0].data;
+  const TeraSort ts(memo_terasort(0x4ED3));
+  const std::vector<mr::MapOutcome> blocks = terasort_maps(ts);
+
+  // R = 1, 2 and 3; the same cached partition at different positions
+  // and states, next to uncached and null ones.
+  const std::vector<std::vector<std::shared_ptr<const void>>> wordcount_results = {
+      {merged},
+      {runs[0].data, nullptr},
+      {runs[0].data, uncached, runs[0].data},
+  };
+  const std::vector<std::vector<std::shared_ptr<const void>>> terasort_results = {
+      {ts.execute_reduce(blocks).result},
+      {nullptr, blocks[1].data},
+      {blocks[0].data, blocks[1].data, nullptr},
+  };
+  const auto check = [](const Workload& workload,
+                        const std::vector<std::shared_ptr<const void>>& partitions) {
+    mr::JobResult result;
+    result.reduce_results = partitions;
+    result.reduce_result = partitions.front();
+    std::uint64_t plain = 0;
+    {
+      const DatasetCache::DerivedBypass afresh;
+      plain = workload.result_digest(result);
+    }
+    EXPECT_EQ(workload.result_digest(result), plain);
+    // Every step is memoized now.
+    EXPECT_EQ(builds_during([&] { EXPECT_EQ(workload.result_digest(result), plain); }), 0u);
+  };
+  for (const auto& partitions : wordcount_results) check(wc, partitions);
+  for (const auto& partitions : terasort_results) check(ts, partitions);
+}
+
+TEST(DigestMemo, ConcurrentEqualJobsBuildOneReduceAndOneDigestStep) {
+  TeraSortParams params = memo_terasort(0x4ED4);
+  params.rows = 200'000;
+  const TeraSort ts(params);
+  const std::vector<mr::MapOutcome> blocks = terasort_maps(ts);
+  std::atomic<int> arrived{0};
+  std::shared_ptr<const void> results[2];
+  std::uint64_t digests[2] = {0, 0};
+  const std::uint64_t builds = builds_during([&] {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        ++arrived;
+        while (arrived.load() < 2) std::this_thread::yield();
+        mr::JobResult result;
+        result.reduce_results = {ts.execute_reduce(blocks).result};
+        results[t] = result.reduce_results.front();
+        digests[t] = ts.result_digest(result);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  });
+  EXPECT_EQ(builds, 2u);  // the reduce and its digest step
+  EXPECT_EQ(results[0], results[1]);
+  EXPECT_EQ(digests[0], digests[1]);
 }
 
 // ---- terasort -------------------------------------------------------------
