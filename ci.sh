@@ -109,7 +109,9 @@ fi
 
 echo "=== [release] end-to-end benchmark check ==="
 # perfbench's own unit tests, then every workload once (--seconds 0:
-# the minimum number of processes) at the held-out seed 7. run.py exits
+# the minimum number of processes) at the held-out seed 7, and the two
+# that read Zipf corpora (paper-sweep, tenant-stream) at the default
+# seed 1 too, so both recorded digests gate the sampler. run.py exits
 # 0 even when a check fails, so the step reads its last stdout line, a
 # JSON object: "correct" is true only when every job's digest equals
 # the reference executor's and the combined digest equals the one
@@ -119,10 +121,11 @@ echo "=== [release] end-to-end benchmark check ==="
 # lane's elision of idle beats and the scheduler at full scale.
 # tenant-stream puts D+ and the AM pool under the same elision.
 python3 -m unittest discover -s perfbench/tests
-for workload in paper-sweep tenant-stream cluster-scale; do
-  python3 perfbench/run.py --workload "$workload" --seed 7 --seconds 0 --trace 0 \
-    > "build-release/perfbench_${workload//-/_}.txt"
-  tail -n 1 "build-release/perfbench_${workload//-/_}.txt" |
+for run in paper-sweep:7 tenant-stream:7 cluster-scale:7 paper-sweep:1 tenant-stream:1; do
+  workload="${run%:*}" seed="${run#*:}"
+  out="build-release/perfbench_${workload//-/_}_seed${seed}.txt"
+  python3 perfbench/run.py --workload "$workload" --seed "$seed" --seconds 0 --trace 0 > "$out"
+  tail -n 1 "$out" |
     python3 -c 'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] else 1)'
 done
 
@@ -141,8 +144,9 @@ echo "=== [release] determinism gate ==="
 # brute-force max-min check for the waterfill, and per-fetch
 # partitioning for the shuffle registry. The workload payload's kernels
 # are held to theirs the same way: the per-call Zipf formula for the
-# sampler, the string tokenizer for the token-id WordCount map, the
-# byte-by-byte string fold for WordCount's keyed reduce and result
+# sampler (at every guide cell's ends and at seeded draws inside it,
+# and over a 2M-draw stream), the string tokenizer for the token-id
+# WordCount map, the byte-by-byte string fold for WordCount's keyed reduce and result
 # digest (with std::string order for the 64-bit word keys, and the byte
 # loop for Fnv64's zero-byte folding), and the Halton digit loop
 # (memcmp) for the Pi kernel.

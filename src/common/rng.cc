@@ -15,8 +15,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 std::uint64_t stable_hash64(std::string_view s) {
@@ -35,36 +33,6 @@ RngStream::RngStream(std::uint64_t seed) : seed_material_(seed) {
 
 RngStream::RngStream(std::uint64_t master_seed, std::string_view stream_name)
     : RngStream(master_seed ^ rotl(stable_hash64(stream_name), 17)) {}
-
-std::uint64_t RngStream::next_u64() {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double RngStream::next_double() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-std::int64_t RngStream::next_int(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
-  const std::uint64_t range = static_cast<std::uint64_t>(hi - lo) + 1;
-  if (range == 0) return static_cast<std::int64_t>(next_u64());  // full 64-bit span
-  // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = ~std::uint64_t{0} - (~std::uint64_t{0} % range + 1) % range;
-  std::uint64_t v;
-  do {
-    v = next_u64();
-  } while (v > limit);
-  return lo + static_cast<std::int64_t>(v % range);
-}
 
 double RngStream::next_real(double lo, double hi) { return lo + (hi - lo) * next_double(); }
 
@@ -91,6 +59,10 @@ ZipfSampler::ZipfSampler(std::int64_t n, double s)
       h_int_n_(0.0) {
   assert(n >= 1 && s > 0);
   h_int_x1_ = h_integral(1.5) - 1.0;
+  // H(1.5) < 0.5 for every s > 0, so Hörmann & Derflinger's fast
+  // accept, k - x <= h_int_x1_, never holds: k = floor(x + 0.5) makes
+  // k - x > -0.5, and for k >= 1 that subtraction is exact (Sterbenz).
+  assert(h_int_x1_ < -0.5);
   h_int_n_ = h_integral(nd_ + 0.5);
   constexpr std::int64_t kTabulatedRanks = 1 << 16;
   accept_.resize(static_cast<std::size_t>(std::min(n, kTabulatedRanks)));
@@ -98,6 +70,44 @@ ZipfSampler::ZipfSampler(std::int64_t n, double s)
     const auto k = static_cast<double>(i + 1);
     accept_[i] = h_integral(k + 0.5) - h(k);
   }
+
+  // The guide table. u falls as r53 grows, through monotone IEEE
+  // operations only (an exact scaling, one multiply, one add), so every
+  // draw of a cell has u between the values at the cell's first draw
+  // and the next cell's first one: the acceptance test at those two
+  // boundaries settles it for the whole cell. x goes through log and
+  // exp, which may be a few ulps off and are not guaranteed monotone,
+  // so x at both boundaries must also round to k with a relative margin
+  // of 1e-9, far above that error: the exact inverse of every draw's u
+  // lies between the boundaries' exact inverses.
+  const double max_rank = std::min(nd_, 65535.0);  // fits a uint16_t cell
+  auto clear_rank = [max_rank](double x) {  // x's rank, or 0 if near a tie
+    const double k = std::floor(x + 0.5);
+    if (!(k >= 1 && k <= max_rank)) return 0.0;
+    const double margin = 1e-9 * x;
+    return x - (k - 0.5) > margin && (k + 0.5) - x > margin ? k : 0.0;
+  };
+  constexpr std::uint64_t kCells = std::uint64_t{1} << kCellBits;
+  guide_.assign(kCells, 0);
+  double u_first = u_of(0);
+  double k_first = clear_rank(x_of(u_first));
+  for (std::uint64_t c = 0; c < kCells; ++c) {
+    // The last cell is bounded by its own last draw.
+    const std::uint64_t next =
+        c + 1 < kCells ? (c + 1) << kCellShift : (std::uint64_t{1} << 53) - 1;
+    const double u_next = u_of(next);
+    const double k_next = clear_rank(x_of(u_next));
+    if (k_first != 0 && k_next == k_first) {
+      const double bound = accept_[static_cast<std::size_t>(k_first) - 1];
+      if (u_first >= bound && u_next >= bound) guide_[c] = static_cast<std::uint16_t>(k_first);
+    }
+    u_first = u_next;
+    k_first = k_next;
+  }
+}
+
+std::size_t ZipfSampler::tabulated_cells() const {
+  return guide_.size() - static_cast<std::size_t>(std::count(guide_.begin(), guide_.end(), 0));
 }
 
 double ZipfSampler::h_integral(double x) const {
@@ -108,21 +118,24 @@ double ZipfSampler::h_integral(double x) const {
 
 double ZipfSampler::h(double x) const { return std::exp(-s_ * std::log(x)); }
 
-std::int64_t ZipfSampler::operator()(RngStream& rng) const {
-  if (n_ == 1) return 1;
-  for (;;) {
-    const double u = h_int_n_ + rng.next_double() * (h_int_x1_ - h_int_n_);
-    // Inverse of h_integral.
-    const double x =
-        unit_s_ ? std::exp(u) : std::exp(std::log(1.0 + u * one_minus_s_) / one_minus_s_);
-    const double k = std::floor(x + 0.5);
-    if (k < 1 || k > nd_) continue;
-    if (k - x <= h_int_x1_) return static_cast<std::int64_t>(k);
-    const auto rank = static_cast<std::size_t>(k);
-    if (u >= (rank <= accept_.size() ? accept_[rank - 1] : h_integral(k + 0.5) - h(k))) {
-      return static_cast<std::int64_t>(k);
-    }
-  }
+double ZipfSampler::u_of(std::uint64_t r53) const {
+  // next_double()'s value, scaled as the per-call formula scales it.
+  return h_int_n_ + static_cast<double>(r53) * 0x1.0p-53 * (h_int_x1_ - h_int_n_);
+}
+
+double ZipfSampler::x_of(double u) const {
+  // Inverse of h_integral.
+  return unit_s_ ? std::exp(u) : std::exp(std::log(1.0 + u * one_minus_s_) / one_minus_s_);
+}
+
+std::int64_t ZipfSampler::attempt_per_call(std::uint64_t r53) const {
+  const double u = u_of(r53);
+  const double x = x_of(u);
+  const double k = std::floor(x + 0.5);
+  if (!(k >= 1 && k <= nd_)) return 0;
+  const auto rank = static_cast<std::size_t>(k);
+  const double bound = rank <= accept_.size() ? accept_[rank - 1] : h_integral(k + 0.5) - h(k);
+  return u >= bound ? static_cast<std::int64_t>(k) : 0;
 }
 
 }  // namespace mrapid

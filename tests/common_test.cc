@@ -5,9 +5,11 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #include "common/hash.h"
 #include "common/log.h"
@@ -101,6 +103,48 @@ TEST(Rng, NextIntDegenerateRange) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.next_int(42, 42), 42);
 }
 
+// next_int's sequences, pinned: 16 draws per range from one seeded
+// stream, then the next raw word (equal where no draw was rejected).
+TEST(Rng, NextIntReproducesGoldenSequences) {
+  struct Case {
+    std::int64_t lo, hi;
+    std::int64_t draws[16];
+    std::uint64_t next;
+  };
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const Case cases[] = {
+      {42, 42, {42, 42, 42, 42, 42, 42, 42, 42, 42, 42, 42, 42, 42, 42, 42, 42},
+       13059749282476133436ull},
+      {0, 25, {0, 10, 19, 12, 15, 21, 8, 11, 2, 18, 6, 12, 16, 8, 4, 16}, 13059749282476133436ull},
+      {0, 94, {1, 33, 63, 15, 23, 6, 40, 6, 82, 33, 93, 19, 21, 52, 87, 7}, 13059749282476133436ull},
+      {-3, (std::int64_t{1} << 32) + 3,  // 2^32 + 7 values
+       {3121896389, 731676088, 12344730, 1213221967, 931722914, 1805742249, 3350620560,
+        2415429122, 3978742579, 2560120516, 3837022683, 1667825665, 3136332413, 3944572446,
+        516423013, 4175244645},
+       13059749282476133436ull},
+      {-(std::int64_t{1} << 62), std::int64_t{1} << 62,  // 2^63 + 1 values: half rejected
+       {3403012959694872442, 1845115323787413459, -1751888939931551573, 2817167484080261576,
+        1510658381117186134, -1608161041845344680, 1374669095824433448, -1644433687479205052,
+        -1246253057966975570, -3796407776452406459, -3908274829923480846, -1400100936027199224,
+        -936822750778517162, -2478638972785454435, 345180323596267734, 3174020248460271988},
+       9891134510154201967ull},
+      {kMin, kMax,  // the full 64-bit span: raw words
+       {8014698978122260346, -2345056183975588778, 6456801342214801363, -5625745994155186956,
+        -52059113064346103, 2859797078495836331, 7428853502507649480, -6098446520908363705,
+        -1613620495953581064, -1097659791725648838, 6122344399544574038, 3003524976582043224,
+        -3524122884902011730, -6440061093309084704, 5986355114251821352, 2967252330948182852},
+       13059749282476133436ull},
+  };
+  for (const Case& c : cases) {
+    RngStream rng(2017, "next_int.golden");
+    for (int i = 0; i < 16; ++i) {
+      ASSERT_EQ(rng.next_int(c.lo, c.hi), c.draws[i]) << "[" << c.lo << ", " << c.hi << "] draw " << i;
+    }
+    EXPECT_EQ(rng.next_u64(), c.next) << "[" << c.lo << ", " << c.hi << "]";
+  }
+}
+
 TEST(Rng, ExponentialHasRequestedMean) {
   RngStream rng(11);
   double sum = 0;
@@ -139,11 +183,12 @@ TEST(Rng, ZipfSingleElement) {
   EXPECT_EQ(ZipfSampler(1, 1.0)(rng), 1);
 }
 
-// The per-call rejection-inversion formula (Hörmann & Derflinger), with
-// every (n, s) constant recomputed on each draw: the oracle for
-// ZipfSampler, which must draw the same ranks from the same stream.
-std::int64_t zipf_per_call(RngStream& rng, std::int64_t n, double s) {
-  if (n == 1) return 1;
+// One attempt of the per-call rejection-inversion formula (Hörmann &
+// Derflinger) on the 53 uniform bits `r53`, with every (n, s) constant
+// recomputed: the rank it accepts, or 0 when it rejects. The oracle
+// for ZipfSampler, which must give the same answer for every r53,
+// whether its guide table or its formula decides.
+std::int64_t zipf_attempt_per_call(std::uint64_t r53, std::int64_t n, double s) {
   const double nd = static_cast<double>(n);
   auto h_integral = [s](double x) {
     const double log_x = std::log(x);
@@ -153,19 +198,27 @@ std::int64_t zipf_per_call(RngStream& rng, std::int64_t n, double s) {
   auto h = [s](double x) { return std::exp(-s * std::log(x)); };
   const double h_int_x1 = h_integral(1.5) - 1.0;
   const double h_int_n = h_integral(nd + 0.5);
+  const double u = h_int_n + static_cast<double>(r53) * 0x1.0p-53 * (h_int_x1 - h_int_n);
+  double x;
+  if (std::fabs(1.0 - s) < 1e-12) {
+    x = std::exp(u);
+  } else {
+    x = std::exp(std::log(1.0 + u * (1.0 - s)) / (1.0 - s));
+  }
+  const double k = std::floor(x + 0.5);
+  if (!(k >= 1 && k <= nd)) return 0;
+  if (k - x <= h_int_x1 || u >= h_integral(k + 0.5) - h(k)) {
+    return static_cast<std::int64_t>(k);
+  }
+  return 0;
+}
+
+// The per-call formula's draw: attempts on next_double()'s bits until
+// one accepts.
+std::int64_t zipf_per_call(RngStream& rng, std::int64_t n, double s) {
+  if (n == 1) return 1;
   for (;;) {
-    const double u = h_int_n + rng.next_double() * (h_int_x1 - h_int_n);
-    double x;
-    if (std::fabs(1.0 - s) < 1e-12) {
-      x = std::exp(u);
-    } else {
-      x = std::exp(std::log(1.0 + u * (1.0 - s)) / (1.0 - s));
-    }
-    const double k = std::floor(x + 0.5);
-    if (k < 1 || k > nd) continue;
-    if (k - x <= h_int_x1 || u >= h_integral(k + 0.5) - h(k)) {
-      return static_cast<std::int64_t>(k);
-    }
+    if (const std::int64_t k = zipf_attempt_per_call(rng.next_u64() >> 11, n, s)) return k;
   }
 }
 
@@ -183,6 +236,58 @@ TEST(ZipfSampler, DrawsTheSameRanksAsThePerCallFormula) {
       EXPECT_EQ(sampled.next_u64(), oracle.next_u64()) << "n=" << n << " s=" << s;
     }
   }
+}
+
+// The text generator's setting, over a stream as long as a few corpus
+// files.
+TEST(ZipfSampler, TextGeneratorStreamMatchesThePerCallFormula) {
+  const ZipfSampler zipf(100000, 1.1);
+  RngStream sampled(2017, "textgen.body");
+  RngStream oracle = sampled;
+  for (int i = 0; i < 2000000; ++i) {
+    ASSERT_EQ(zipf(sampled), zipf_per_call(oracle, 100000, 1.1)) << "draw " << i;
+  }
+  EXPECT_EQ(sampled.next_u64(), oracle.next_u64());
+}
+
+class ZipfGuide : public ::testing::TestWithParam<std::tuple<std::int64_t, double>> {};
+
+// Every guide cell, at its first and last r53 and at 8 seeded interior
+// ones, accepts or rejects as the per-call formula does, with the same
+// rank. Cells the table answers are where a wrong proof would show.
+TEST_P(ZipfGuide, EveryCellAgreesWithThePerCallFormula) {
+  const auto [n, s] = GetParam();
+  const ZipfSampler zipf(n, s);
+  constexpr std::uint64_t kCellSpan = std::uint64_t{1} << ZipfSampler::kCellShift;
+  RngStream interior(static_cast<std::uint64_t>(n) * 131 + static_cast<std::uint64_t>(s * 10),
+                     "zipf.guide");
+  for (std::uint64_t cell = 0; cell < (std::uint64_t{1} << ZipfSampler::kCellBits); ++cell) {
+    const std::uint64_t first = cell * kCellSpan;
+    std::uint64_t probes[10] = {first, first + kCellSpan - 1};
+    for (int i = 2; i < 10; ++i) probes[i] = first + interior.next_u64() % kCellSpan;
+    for (const std::uint64_t r53 : probes) {
+      ASSERT_EQ(zipf.attempt(r53), zipf_attempt_per_call(r53, n, s))
+          << "n=" << n << " s=" << s << " cell " << cell << " r53 " << r53;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, ZipfGuide,
+                         ::testing::Combine(::testing::Values(std::int64_t{2}, std::int64_t{1000},
+                                                              std::int64_t{100000},
+                                                              std::int64_t{1} << 20),
+                                            ::testing::Values(0.5, 1.0, 1.1, 2.0)));
+
+TEST(ZipfSampler, GuideTableAnswersMostAttemptsAtTheTextSetting) {
+  // Every cell is an equal share of the attempts.
+  const ZipfSampler zipf(100000, 1.1);
+  EXPECT_GT(zipf.tabulated_cells(), (std::size_t{1} << ZipfSampler::kCellBits) * 7 / 10);
+}
+
+TEST(ZipfSampler, FootprintCountsTheBoundsAndTheGuideTable) {
+  constexpr std::size_t kTable = (std::size_t{1} << ZipfSampler::kCellBits) * sizeof(std::uint16_t);
+  EXPECT_GE(ZipfSampler(100000, 1.1).footprint_bytes(), 65536 * sizeof(double) + kTable);
+  EXPECT_GE(ZipfSampler(1000, 1.1).footprint_bytes(), 1000 * sizeof(double) + kTable);
 }
 
 TEST(Rng, ForkIsDeterministic) {

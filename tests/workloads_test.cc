@@ -85,6 +85,15 @@ TEST(TextGen, SharesOneVocabularyPerIdentity) {
   EXPECT_EQ(a.spell(*a.file(4096, 3)), a.generate(4096, 3));
 }
 
+// The cache charges a vocabulary its footprint, which must count the
+// sampler's bounds and guide table besides the words.
+TEST(TextGen, VocabularyFootprintCountsTheSampler) {
+  const Vocabulary vocabulary(42, 100000, 1.1);
+  const std::size_t words = vocabulary.size() * (sizeof(std::uint8_t) + sizeof(std::uint32_t)) +
+                            vocabulary.distinct() * sizeof(WordKey);
+  EXPECT_GE(vocabulary.footprint_bytes(), words + vocabulary.sampler().footprint_bytes());
+}
+
 // ---- word keys -------------------------------------------------------------
 
 // The vocabulary's spellings by rank, drawn exactly as Vocabulary's
