@@ -1,17 +1,16 @@
 // The simulation-core throughput baseline (docs/PERF.md): absolute
-// events/sec across six variants — steady-state event-churn and the
-// cancel-heavy heartbeat/replan pattern on the slab event queue, an
-// end-to-end wordcount sweep, the cluster-scale tenant stream (10k
-// nodes) that exercises the periodic heartbeat lane and the
-// NodeTable-backed scheduler, the placement-shuffle script (10k nodes)
-// that exercises the indexed placement engine and the incremental
-// waterfill, and the job-scale shuffle drive (2k maps x 512 reducers
-// at 1k nodes) that exercises the partition-once registry and the
-// slab fetch engine.
+// events/sec of four engine kernels driven directly — steady-state
+// event-churn and the cancel-heavy heartbeat/replan pattern on the slab
+// event queue, the placement-shuffle script (10k nodes) that exercises
+// the indexed placement engine and the incremental waterfill, and the
+// job-scale shuffle drive (2k maps x 512 reducers at 1k nodes) that
+// exercises the partition-once registry and the slab fetch engine.
+// End-to-end wall time, events/sec and lane beats are perfbench's
+// (perfbench/README.md).
 //
 // Wall-clock output can never be byte-reproducible, so this experiment
-// only runs when --filter names it (like `micro`). CI refreshes the
-// recorded baseline with:
+// only runs when --filter names it. The recorded baseline is refreshed
+// with:
 //
 //   mrapid_bench --filter sim_core --json BENCH_simcore.json
 
@@ -26,8 +25,7 @@ exp::ScenarioSpec make(const exp::SweepOptions& opt) {
   exp::ScenarioSpec spec;
   spec.title = "Simulation core — event throughput (wall clock)";
   spec.axes = {exp::label_axis("variant",
-                               {"event-churn", "cancel-heavy", "wordcount-sweep", "cluster-scale",
-                                "placement-shuffle", "job-scale"})};
+                               {"event-churn", "cancel-heavy", "placement-shuffle", "job-scale"})};
   const bool smoke = opt.smoke;
   const std::uint64_t churn_events = smoke ? 400'000 : 4'000'000;
   const std::size_t churn_window = 1024;
@@ -43,14 +41,10 @@ exp::ScenarioSpec make(const exp::SweepOptions& opt) {
         measured = exp::sim_core_event_churn(churn_events, churn_window);
       } else if (variant == "cancel-heavy") {
         measured = exp::sim_core_cancel_heavy(cancel_steps);
-      } else if (variant == "cluster-scale") {
-        measured = exp::sim_core_cluster_scale(smoke);
       } else if (variant == "placement-shuffle") {
         measured = exp::sim_core_placement_shuffle(smoke);
-      } else if (variant == "job-scale") {
-        measured = exp::sim_core_job_scale(smoke);
       } else {
-        measured = exp::sim_core_wordcount_sweep(smoke);
+        measured = exp::sim_core_job_scale(smoke);
       }
       result.ok = true;
       result.elapsed_seconds = measured.wall_seconds;
@@ -59,8 +53,6 @@ exp::ScenarioSpec make(const exp::SweepOptions& opt) {
       result.set_metric("cancelled", static_cast<double>(measured.cancelled));
       result.set_metric("heap_peak", static_cast<double>(measured.heap_peak));
       result.set_metric("slab_slots", static_cast<double>(measured.slab_slots));
-      result.set_metric("beats_fired", static_cast<double>(measured.beats_fired));
-      result.set_metric("beats_elided", static_cast<double>(measured.beats_elided));
       result.set_metric("fetches", static_cast<double>(measured.fetches));
       result.set_metric("coalesced_flows", static_cast<double>(measured.coalesced_flows));
       result.set_metric("partition_calls", static_cast<double>(measured.partition_calls));
@@ -82,9 +74,9 @@ exp::ScenarioSpec make(const exp::SweepOptions& opt) {
                      Table::num(r.metric("slab_slots"), 0)});
     }
     table.print(os);
-    os << "\n(cancel-heavy counts push+cancel+fire operations, placement-shuffle\n"
-          "replica draws + rate replans, job-scale shuffle fetches; the other\n"
-          "variants count fired events. See docs/PERF.md.)\n";
+    os << "\n(event-churn counts fired events, cancel-heavy push+cancel+fire\n"
+          "operations, placement-shuffle replica draws + rate replans, job-scale\n"
+          "shuffle fetches. See docs/PERF.md.)\n";
   };
   return spec;
 }

@@ -52,17 +52,21 @@ run_config() {
   # fuzzer's policy seeds.
   "$dir/bench/mrapid_bench" --filter scheduler_shootout --smoke --jobs 2 \
     --json /tmp/smoke_shootout.json > /dev/null
-  # The sim-core throughput experiment, smoke-sized, in BOTH configs:
-  # under sanitizers its cluster-scale variant is the only CI exercise
-  # of the periodic heartbeat lane (idle beats counted in bulk) +
-  # NodeTable-backed scheduler on a large (256-node) cluster, its
-  # placement-shuffle variant drives the indexed placement policy +
-  # incremental waterfill through a scripted
-  # replica-draw/shuffle-flow mix, and its job-scale variant drives the
-  # partition-once registry, slab fetch records and coalesced flows
-  # through a 256-map x 64-reducer job straight at ReduceRunner.
+  # The sim-core throughput experiment (docs/PERF.md), smoke-sized, in
+  # both configs: its four variants drive engine kernels directly.
+  # event-churn and cancel-heavy run the slab event queue,
+  # placement-shuffle the indexed placement policy + incremental
+  # waterfill through a scripted replica-draw/shuffle-flow mix, and
+  # job-scale the partition-once registry, slab fetch records and
+  # coalesced flows through a 256-map x 64-reducer job straight at
+  # ReduceRunner. The periodic heartbeat lane + NodeTable-backed
+  # scheduler on a large (256-node) cluster get their sanitizer-leg run
+  # from ElisionLargeCluster in ctest above. The smoke-sized
+  # events/sec JSON is kept as a build artifact; the committed
+  # BENCH_simcore.json at the repo root is refreshed manually from a
+  # full (non-smoke) run on a quiet machine.
   "$dir/bench/mrapid_bench" --filter sim_core --smoke \
-    --json /tmp/smoke_simcore.json > /dev/null
+    --json "$dir/BENCH_simcore.json" > /dev/null
   echo "=== [$name] fuzz smoke ==="
   # A bounded differential-fuzz campaign (docs/FUZZING.md): every
   # scenario runs all four modes against the reference executor with
@@ -73,14 +77,6 @@ run_config() {
 }
 
 run_config release build-release -DCMAKE_BUILD_TYPE=Release -DMRAPID_WERROR=ON
-
-echo "=== [release] sim_core bench ==="
-# Simulation-core throughput baseline (docs/PERF.md): smoke-sized
-# absolute events/sec for every sim_core variant, emitted as a build
-# artifact. The committed BENCH_simcore.json at the repo root is
-# refreshed manually from a full (non-smoke) run on a quiet machine.
-build-release/bench/mrapid_bench --filter sim_core --smoke \
-  --json build-release/BENCH_simcore.json > /dev/null
 
 echo "=== [release] job-count identity ==="
 # SweepRunner workers share generated inputs and memoized map outputs

@@ -105,8 +105,6 @@ std::vector<double> SeriesReport::xs() const {
   return {xs.begin(), xs.end()};
 }
 
-std::vector<std::string> SeriesReport::series_names() const { return order_; }
-
 std::string SeriesReport::to_string() const {
   std::vector<std::string> headers = {x_label_};
   for (const auto& name : order_) headers.push_back(name);

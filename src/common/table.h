@@ -46,7 +46,6 @@ class SeriesReport {
   // Returns the y value for (series, x); NaN if absent.
   double value(const std::string& series, double x) const;
   std::vector<double> xs() const;
-  std::vector<std::string> series_names() const;
 
   std::string to_string() const;
   void print(std::ostream& os) const;

@@ -18,9 +18,7 @@ inline constexpr Bytes operator""_KB(unsigned long long v) { return static_cast<
 inline constexpr Bytes operator""_MB(unsigned long long v) { return static_cast<Bytes>(v) * 1024 * 1024; }
 inline constexpr Bytes operator""_GB(unsigned long long v) { return static_cast<Bytes>(v) * 1024 * 1024 * 1024; }
 
-constexpr Bytes kilobytes(double v) { return static_cast<Bytes>(v * 1024.0); }
 constexpr Bytes megabytes(double v) { return static_cast<Bytes>(v * 1024.0 * 1024.0); }
-constexpr Bytes gigabytes(double v) { return static_cast<Bytes>(v * 1024.0 * 1024.0 * 1024.0); }
 
 constexpr double to_mb(Bytes b) { return static_cast<double>(b) / (1024.0 * 1024.0); }
 constexpr double to_gb(Bytes b) { return static_cast<double>(b) / (1024.0 * 1024.0 * 1024.0); }

@@ -20,8 +20,8 @@ struct ExperimentDef {
   std::string description;  // one line for --list
   std::function<ScenarioSpec(const SweepOptions&)> make;
   // Skipped by a plain `mrapid_bench` run; only executes when a filter
-  // names it. Used by wall-clock micro-benchmarks whose output can
-  // never be byte-reproducible.
+  // names it. Used by the sim_core wall-clock benchmark, whose output
+  // can never be byte-reproducible.
   bool only_on_request = false;
 };
 

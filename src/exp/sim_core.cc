@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,14 +14,10 @@
 #include "exp/runner.h"
 #include "hdfs/hdfs.h"
 #include "hdfs/placement.h"
-#include "harness/stream_pump.h"
-#include "harness/world.h"
 #include "mapreduce/shuffle.h"
 #include "mapreduce/task_runner.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
-#include "workloads/jobstream.h"
-#include "workloads/wordcount.h"
 
 namespace mrapid::exp {
 
@@ -120,22 +115,18 @@ SimCoreResult best_of(RunFn run) {
   return best;
 }
 
-// Folds one simulation's engine counters, plus the shuffle counters of
-// a run that drove the fetch engine, into `result`: cancels, beats and
-// shuffle counts add up across runs, heap and slab sizes keep the
-// peak.
+// Copies one simulation's queue counters, plus the shuffle counters of
+// a run that drove the fetch engine, into `result`. No variant joins
+// the periodic lane, so the queue holds every event.
 void add_counters(SimCoreResult& result, const sim::Simulation& sim,
                   const mr::ShuffleStats& shuffle) {
   const sim::EventQueue::Stats& queue = sim.queue_stats();
-  const sim::Simulation::TimerStats& lane = sim.wheel_stats();
-  result.cancelled += queue.cancelled + lane.cancelled;
-  result.heap_peak = std::max(result.heap_peak, queue.heap_peak);
-  result.slab_slots = std::max({result.slab_slots, queue.slab_capacity, lane.slab_capacity});
-  result.beats_fired += lane.fired;
-  result.beats_elided += lane.elided;
-  result.fetches += shuffle.fetches;
-  result.coalesced_flows += shuffle.coalesced_flows;
-  result.partition_calls += shuffle.partition_calls;
+  result.cancelled = queue.cancelled;
+  result.heap_peak = queue.heap_peak;
+  result.slab_slots = queue.slab_capacity;
+  result.fetches = shuffle.fetches;
+  result.coalesced_flows = shuffle.coalesced_flows;
+  result.partition_calls = shuffle.partition_calls;
 }
 
 }  // namespace
@@ -162,48 +153,6 @@ SimCoreResult sim_core_cancel_heavy(std::uint64_t steps) {
 }
 
 namespace {
-
-// One cluster-scale stream run.
-SimCoreResult run_cluster_scale(std::size_t nodes, double horizon_s) {
-  harness::WorldConfig config;
-  // Uniform A3 machines, ~40 per rack — a plausible datacenter shape
-  // that keeps rack-locality code exercised without dominating.
-  config.cluster = cluster::ClusterConfig::uniform(
-      nodes, std::max<std::size_t>(std::size_t{1}, nodes / 40), cluster::azure_a3());
-  config.deadline = sim::SimDuration::seconds(horizon_s + 3600.0);
-  harness::World world(config, harness::RunMode::kHadoop);
-
-  wl::TenantSpec tenant;
-  tenant.name = "stream";
-  tenant.arrival.process = wl::ArrivalProcess::kPoisson;
-  tenant.arrival.mean_interarrival_seconds = 6.0;
-  tenant.scan_weight = 1.0;
-  tenant.sort_weight = 0.0;
-  tenant.numeric_weight = 0.0;
-  tenant.min_files = 1;
-  tenant.max_files = 2;
-  tenant.min_file_bytes = 1_MB;
-  tenant.max_file_bytes = 2_MB;
-
-  harness::StreamPumpOptions pump_options;
-  pump_options.horizon_seconds = horizon_s;
-  pump_options.max_running_jobs = 8;
-  harness::StreamPump pump(world, {tenant}, pump_options);
-
-  const auto start = Clock::now();
-  if (!pump.run()) {
-    throw TrialFailure("sim_core cluster-scale stream did not drain");
-  }
-  SimCoreResult result;
-  result.wall_seconds = seconds_since(start);
-  // The dominant event population is NM heartbeats from the periodic
-  // lane, most of them counted in bulk: count every processed event,
-  // not just queue pops.
-  result.events = world.simulation().processed_events();
-  result.events_per_sec = static_cast<double>(result.events) / result.wall_seconds;
-  add_counters(result, world.simulation(), world.shuffle_stats());
-  return result;
-}
 
 // One placement/shuffle run. Like event-churn and cancel-heavy, this
 // drives the engine pair directly — a scripted mix of replica draws,
@@ -417,40 +366,6 @@ SimCoreResult sim_core_placement_shuffle(bool smoke) {
   const std::size_t nodes = smoke ? 256 : 10'000;
   const std::size_t iterations = smoke ? 4'000 : 20'000;
   return run_placement_shuffle(nodes, iterations);
-}
-
-SimCoreResult sim_core_cluster_scale(bool smoke) {
-  const std::size_t nodes = smoke ? 256 : 10'000;
-  const double horizon_s = smoke ? 30.0 : 120.0;
-  return run_cluster_scale(nodes, horizon_s);
-}
-
-SimCoreResult sim_core_wordcount_sweep(bool smoke) {
-  wl::WordCountParams params;
-  params.num_files = smoke ? 2 : 6;
-  params.bytes_per_file = smoke ? 256 * 1024 : 2 * 1024 * 1024;
-  wl::WordCount wc(params);
-
-  const harness::RunMode modes[] = {harness::RunMode::kHadoop, harness::RunMode::kUber,
-                                    harness::RunMode::kDPlus, harness::RunMode::kUPlus};
-  SimCoreResult result;
-  const auto start = Clock::now();
-  for (harness::RunMode mode : modes) {
-    harness::WorldConfig config;
-    harness::World world(config, mode);
-    world.boot();
-    auto run = world.run(wc);
-    if (!run.has_value() || !run->succeeded) {
-      throw TrialFailure("sim_core wordcount-sweep run failed");
-    }
-    // Heartbeats come from the periodic lane, so count every processed
-    // event, not just queue pops.
-    result.events += world.simulation().processed_events();
-    add_counters(result, world.simulation(), world.shuffle_stats());
-  }
-  result.wall_seconds = seconds_since(start);
-  result.events_per_sec = static_cast<double>(result.events) / result.wall_seconds;
-  return result;
 }
 
 }  // namespace mrapid::exp

@@ -4,7 +4,8 @@
 //
 // Every sweep, fault matrix and fuzz campaign is ultimately a stream of
 // events through sim::EventQueue, so events/sec is the repo's
-// highest-leverage performance number. Six variants:
+// highest-leverage performance number. Four variants, each driving one
+// engine directly (end-to-end runs are perfbench's job):
 //
 //   event-churn      steady-state push/fire with a bounded window of
 //                    outstanding events — the shape of a long
@@ -12,12 +13,6 @@
 //   cancel-heavy     the heartbeat/replan pattern (schedule a
 //                    completion, cancel it, reschedule) that bandwidth
 //                    resources and liveness timers produce,
-//   wordcount-sweep  end to end: full worlds across the figure modes,
-//                    events/sec over every dispatched event,
-//   cluster-scale    a Poisson tenant stream over a 10k-node uniform
-//                    cluster: NM heartbeats through the periodic lane
-//                    (most counted in bulk, the rest into the
-//                    NodeTable-backed scheduler),
 //   placement-shuffle a scripted block-write/shuffle-flow mix driven
 //                    straight at the placement policy + flow network
 //                    on a 10k-node fabric; throughput counts replica
@@ -39,16 +34,14 @@
 namespace mrapid::exp {
 
 struct SimCoreResult {
-  std::uint64_t events = 0;     // events fired (churn/sweep) or total ops (cancel-heavy)
+  // Fired events (churn), queue ops (cancel-heavy), replica draws +
+  // replans (placement-shuffle) or fetches (job-scale).
+  std::uint64_t events = 0;
   double wall_seconds = 0.0;
   double events_per_sec = 0.0;
   std::uint64_t cancelled = 0;
   std::size_t heap_peak = 0;
   std::size_t slab_slots = 0;
-  // Periodic-lane beats: dispatched, and counted in bulk without a
-  // dispatch (both are in `events` for the end-to-end variants).
-  std::uint64_t beats_fired = 0;
-  std::uint64_t beats_elided = 0;
   // Shuffle counters (mr::ShuffleStats) for the variants that run the
   // MapReduce fetch engine; zero for the queue-only variants.
   std::uint64_t fetches = 0;
@@ -64,15 +57,6 @@ SimCoreResult sim_core_event_churn(std::uint64_t events, std::size_t window);
 // completion, schedule a new one; every 8th step adds a short-fuse
 // heartbeat that actually fires. Throughput counts push+cancel+fire.
 SimCoreResult sim_core_cancel_heavy(std::uint64_t steps);
-
-// End to end: WordCount through full worlds across the figure modes;
-// `events` is the total fired across all runs.
-SimCoreResult sim_core_wordcount_sweep(bool smoke);
-
-// Cluster scale: a Poisson tenant stream over a large uniform cluster
-// (10k nodes full, 256 smoke), baseline Hadoop mode. `events` counts
-// every processed event, heartbeats counted in bulk included.
-SimCoreResult sim_core_cluster_scale(bool smoke);
 
 // Placement/shuffle hot paths, measured the way event-churn measures
 // the queue: a deterministic scripted mix of replica draws (external

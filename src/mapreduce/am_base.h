@@ -71,7 +71,6 @@ class AmBase {
   // job completion (or kill) they must stay registered so the slot can
   // be reused, only their queued asks are cancelled.
   void set_managed_by_pool(bool managed) { managed_by_pool_ = managed; }
-  bool managed_by_pool() const { return managed_by_pool_; }
 
   // Live view for the speculative profiler: readable mid-run.
   const JobProfile& live_profile() const { return profile_; }

@@ -233,7 +233,6 @@ struct JobProfile {
     const sim::SimTime end = client_done_time.as_micros() != 0 ? client_done_time : finish_time;
     return (end - submit_time).as_seconds();
   }
-  double am_elapsed_seconds() const { return (finish_time - submit_time).as_seconds(); }
   double am_setup_seconds() const { return (am_ready_time - submit_time).as_seconds(); }
   double map_phase_seconds() const { return (maps_done - first_map_start).as_seconds(); }
   int max_containers_on_one_node() const;

@@ -96,9 +96,10 @@ class Simulation {
   using TimerStats = PeriodicLane::Stats;
 
   // Event-core counters (pushed/fired/cancelled, heap peak, slab
-  // capacity) — the exp layer's sim_core benchmark and perfbench
-  // report these; wheel_stats() keeps the name perfbench's metrics use
-  // (sim.wheel_fired, sim.wheel_cancelled).
+  // capacity) and periodic-lane counters. perfbench reports both, and
+  // wheel_stats() keeps the name its metrics use (sim.wheel_fired,
+  // sim.wheel_cancelled); the sim_core engine variants report the
+  // queue's.
   const EventQueue::Stats& queue_stats() const { return queue_.stats(); }
   const TimerStats& wheel_stats() const { return lane_.stats(); }
   std::size_t pending_events() const { return queue_.size() + lane_.size(); }

@@ -12,7 +12,8 @@
 // all four modes), every registered scheduling policy in all four
 // modes on a small stream, and every fault kind in all four modes with
 // liveness tracking on (expiry, rejoin and blacklisting flip node
-// membership, which must reach the scheduler at the same beat).
+// membership, which must reach the scheduler at the same beat), plus
+// one capped Hadoop-mode scan stream on a 256-node cluster.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "check/scenario.h"
+#include "cluster/azure.h"
 #include "common/units.h"
 #include "exp/workload_factory.h"
 #include "harness/fault.h"
@@ -85,13 +87,14 @@ Outcome run_job(const harness::WorldConfig& config, harness::RunMode mode,
 
 Outcome run_stream(const harness::WorldConfig& config, harness::RunMode mode,
                    const std::vector<wl::TenantSpec>& tenants, double horizon_s,
-                   std::uint32_t mask) {
+                   std::uint32_t mask, int max_running_jobs = 0) {
   harness::World world(config, mode);
   sim::Tracer tracer(mask);
   world.attach_tracer(tracer);
   std::map<std::string, std::uint64_t> digests;
   harness::StreamPumpOptions options;
   options.horizon_seconds = horizon_s;
+  options.max_running_jobs = max_running_jobs;
   options.on_job_complete = [&digests](const harness::StreamJobRecord& record,
                                        wl::Workload& workload, const mr::JobResult& result) {
     if (record.succeeded) digests[record.label] = workload.result_digest(result);
@@ -254,6 +257,37 @@ INSTANTIATE_TEST_SUITE_P(Kinds, ElisionFaults,
                          [](const ::testing::TestParamInfo<harness::FaultKind>& info) {
                            return param_name(harness::fault_kind_name(info.param));
                          });
+
+// ---- a large cluster under a capped stream ---------------------------
+
+// The shape of perfbench's cluster-scale workload, shrunk to 256 nodes:
+// mostly idle NMs beating into the NodeTable-backed scheduler while at
+// most eight scans run, so nearly every beat is parked.
+TEST(ElisionLargeCluster, MatchesMaterializedBeats) {
+  harness::WorldConfig config;
+  config.log_level = LogLevel::kError;
+  config.cluster = cluster::ClusterConfig::uniform(256, 6, cluster::azure_a3());
+  constexpr double kHorizon = 30.0;
+  config.deadline = sim::SimDuration::seconds(kHorizon + 3600.0);
+
+  wl::TenantSpec tenant;
+  tenant.name = "stream";
+  tenant.arrival.process = wl::ArrivalProcess::kPoisson;
+  tenant.arrival.mean_interarrival_seconds = 6.0;
+  tenant.scan_weight = 1.0;
+  tenant.sort_weight = 0.0;
+  tenant.numeric_weight = 0.0;
+  tenant.min_files = 1;
+  tenant.max_files = 2;
+  tenant.min_file_bytes = 1_MB;
+  tenant.max_file_bytes = 2_MB;
+
+  const Outcome elided = expect_same("256 nodes hadoop", [&](std::uint32_t mask) {
+    return run_stream(config, harness::RunMode::kHadoop, {tenant}, kHorizon, mask,
+                      /*max_running_jobs=*/8);
+  });
+  EXPECT_GT(elided.lane.elided, 0u);
+}
 
 }  // namespace
 }  // namespace mrapid
